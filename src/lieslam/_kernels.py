@@ -1,390 +1,589 @@
-"""Per-sample update kernels for the observers, written on plain arrays.
+"""Per-sample update kernels for the observers and the world trace.
 
-Each function advances one measurement interval: classical RK4 over the
-continuous correction laws with the interval's measurements held fixed,
-optionally split into equal substeps.  The public step functions in
+Each ``*_sample`` function advances one measurement interval: classical
+RK4 (:func:`_rk4`, shared by all three observers) over the continuous
+correction laws with the interval's measurements held fixed, optionally
+split into equal substeps.  The step functions in
 :mod:`lieslam.filter_basic`, :mod:`lieslam.filter_imu` and
-:mod:`lieslam.quaternion` unwrap their dataclasses, call these, and wrap
-the results back up.
+:mod:`lieslam.quaternion` pack their dataclasses into a flat state
+(attitude, position, bias, then the landmarks row by row: 9 + 3 + 6 + 3n
+floats, or 4 + 3 + 6 + 3n with a quaternion attitude) and a tuple of
+per-interval parameters, call the kernel once, and unpack the flat
+result.  :func:`world_trace` fills a whole simulated run in one call.
 
-Everything is spelled out as scalar loops so numba compiles tight code
-without BLAS round-trips, and so the interpreted fallback performs the
-same float operations in the same order when numba is unavailable.
+The kernels are scalar by design and are written on local floats and
+fixed-size tuples, one source for two backends:
+
+- interpreted: :func:`to_kernel` hands the kernels Python lists built
+  once per step with ``ndarray.tolist``, so every operation is plain
+  float arithmetic instead of numpy scalar indexing;
+- numba: when it imports, every kernel is compiled from this same source
+  with ``@njit``, and :func:`to_kernel` passes contiguous arrays.
+
+Everything here therefore stays inside numba's nopython subset: no
+lambdas, closures, generator expressions or ``*args``.
+
+The output bytes are part of the contract, so every law keeps its float
+operations and their order: ``x ** 2`` (not ``x * x``), the groupings as
+written (e.g. ``scale * (k_w / tau) * half``), accumulations from 0.0 in
+a fixed order, no dot products, ``sum`` or ``fsum`` reordering, and
+``np.sin``/``np.cos`` where the world trace needs them.
+
+Python floats raise ``OverflowError`` on a finite overflow in ``**`` and
+``ZeroDivisionError`` on ``/ 0.0``, where numpy returned inf or nan; the
+step boundary (``filter_basic.run_sample``) reports both as divergence.
 """
 
 from __future__ import annotations
+
+from math import isfinite, sqrt
 
 import numpy as np
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard install dep
+except ImportError:
+    JIT = False
+
     def njit(*args, **kwargs):
         def wrap(fn):
             return fn
         return wrap
 
-# Mirrors of the guard constants in filter_imu / liegroup; kernels cannot
-# import them without dragging dataclass modules into compilation.
-_TAU_FLOOR = 1e-6
+    def to_kernel(a: np.ndarray) -> list:
+        """Kernel input from an array: nested Python lists of floats."""
+        return a.tolist()
+else:
+    JIT = True
+
+    def to_kernel(a: np.ndarray) -> np.ndarray:
+        """Kernel input from an array: contiguous float64 for numba."""
+        return np.ascontiguousarray(a, dtype=np.float64)
+
+# Floor for the attitude gain divisor: keeps the correction finite on the
+# antipodal set where lambda_min * (1 + pi) -> 0.
+TAU_FLOOR = 1e-6
+# Condition-number guard for the pi estimate's matrix inversion.
 _PI_COND_LIMIT = 1e8
+# Orthonormality drift that triggers a Gram-Schmidt repair after integration.
 _ROTATION_DRIFT_TOL = 1e-9
 
-
-@njit(cache=True)
-def _mat3_mul(a, b):
-    out = np.empty((3, 3))
-    for r in range(3):
-        for c in range(3):
-            out[r, c] = a[r, 0] * b[0, c] + a[r, 1] * b[1, c] + a[r, 2] * b[2, c]
-    return out
-
-
-@njit(cache=True)
-def _rot_apply(r, x):
-    """r @ x for a 3-vector."""
-    out = np.empty(3)
-    for i in range(3):
-        out[i] = r[i, 0] * x[0] + r[i, 1] * x[1] + r[i, 2] * x[2]
-    return out
+# offsets into the flat state of the matrix filters
+_POS = 9
+_BIAS = 12
+_LM = 18
+# ... and of the quaternion filter
+_Q_POS = 4
+_Q_BIAS = 7
+_Q_LM = 13
 
 
 @njit(cache=True)
-def _rot_apply_t(r, x):
-    """r.T @ x for a 3-vector."""
-    out = np.empty(3)
-    for i in range(3):
-        out[i] = r[0, i] * x[0] + r[1, i] * x[1] + r[2, i] * x[2]
-    return out
+def _axpy(x, c, k):
+    """x + c * k, element by element."""
+    return [a + c * d for a, d in zip(x, k)]
 
 
 @njit(cache=True)
-def _cross(a, b, out):
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
+def _rk4(rates, x, params, h):
+    """One classical fourth-order step of length h of dx/dt = rates(x, params)."""
+    c = 0.5 * h
+    k1 = rates(x, params)
+    k2 = rates(_axpy(x, c, k1), params)
+    k3 = rates(_axpy(x, c, k2), params)
+    k4 = rates(_axpy(x, h, k3), params)
+    s = h / 6.0
+    return [a + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            for a, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
 
 
 @njit(cache=True)
-def _renormalize(r):
-    """Conditional modified Gram-Schmidt over rows, as in liegroup."""
-    drift = 0.0
-    for i in range(3):
-        for j in range(3):
-            g = r[0, i] * r[0, j] + r[1, i] * r[1, j] + r[2, i] * r[2, j]
-            if i == j:
-                g -= 1.0
-            drift += g * g
-    if np.sqrt(drift) <= _ROTATION_DRIFT_TOL:
-        return r
-    out = r.copy()
-    s = np.sqrt(out[0, 0] ** 2 + out[0, 1] ** 2 + out[0, 2] ** 2)
-    for c in range(3):
-        out[0, c] /= s
-    d = out[1, 0] * out[0, 0] + out[1, 1] * out[0, 1] + out[1, 2] * out[0, 2]
-    for c in range(3):
-        out[1, c] -= d * out[0, c]
-    s = np.sqrt(out[1, 0] ** 2 + out[1, 1] ** 2 + out[1, 2] ** 2)
-    for c in range(3):
-        out[1, c] /= s
-    d0 = out[2, 0] * out[0, 0] + out[2, 1] * out[0, 1] + out[2, 2] * out[0, 2]
-    d1 = out[2, 0] * out[1, 0] + out[2, 1] * out[1, 1] + out[2, 2] * out[1, 2]
-    for c in range(3):
-        out[2, c] -= d0 * out[0, c] + d1 * out[1, c]
-    s = np.sqrt(out[2, 0] ** 2 + out[2, 1] ** 2 + out[2, 2] ** 2)
-    for c in range(3):
-        out[2, c] /= s
-    return out
+def _renormalize(x):
+    """Conditional modified Gram-Schmidt over the rows of the rotation
+    held in x[:9]; returns x itself when the drift is within tolerance."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = x[:_POS]
+    # entries of R^T R - I, accumulated in row-major order
+    g00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
+    g01 = r00 * r01 + r10 * r11 + r20 * r21
+    g02 = r00 * r02 + r10 * r12 + r20 * r22
+    g11 = r01 * r01 + r11 * r11 + r21 * r21 - 1.0
+    g12 = r01 * r02 + r11 * r12 + r21 * r22
+    g22 = r02 * r02 + r12 * r12 + r22 * r22 - 1.0
+    drift = (0.0 + g00 * g00 + g01 * g01 + g02 * g02 + g01 * g01 + g11 * g11
+             + g12 * g12 + g02 * g02 + g12 * g12 + g22 * g22)
+    if sqrt(drift) <= _ROTATION_DRIFT_TOL:
+        return x
+    s = sqrt(r00 ** 2 + r01 ** 2 + r02 ** 2)
+    r00 /= s
+    r01 /= s
+    r02 /= s
+    d = r10 * r00 + r11 * r01 + r12 * r02
+    r10 -= d * r00
+    r11 -= d * r01
+    r12 -= d * r02
+    s = sqrt(r10 ** 2 + r11 ** 2 + r12 ** 2)
+    r10 /= s
+    r11 /= s
+    r12 /= s
+    d0 = r20 * r00 + r21 * r01 + r22 * r02
+    d1 = r20 * r10 + r21 * r11 + r22 * r12
+    r20 -= d0 * r00 + d1 * r10
+    r21 -= d0 * r01 + d1 * r11
+    r22 -= d0 * r02 + d1 * r12
+    s = sqrt(r20 ** 2 + r21 ** 2 + r22 ** 2)
+    return [r00, r01, r02, r10, r11, r12, r20 / s, r21 / s, r22 / s] + x[_POS:]
 
 
 @njit(cache=True)
-def _gain_divisor(a_mat, b_mat, lam_min):
-    """lambda_min * (1 + tr(a b^-1)), floored as in attitude_gain_divisor."""
-    det = (
-        b_mat[0, 0] * (b_mat[1, 1] * b_mat[2, 2] - b_mat[1, 2] * b_mat[2, 1])
-        - b_mat[0, 1] * (b_mat[1, 0] * b_mat[2, 2] - b_mat[1, 2] * b_mat[2, 0])
-        + b_mat[0, 2] * (b_mat[1, 0] * b_mat[2, 1] - b_mat[1, 1] * b_mat[2, 0])
-    )
-    if det == 0.0 or not np.isfinite(det):
-        return _TAU_FLOOR
-    inv = np.empty((3, 3))
-    inv[0, 0] = (b_mat[1, 1] * b_mat[2, 2] - b_mat[1, 2] * b_mat[2, 1]) / det
-    inv[0, 1] = (b_mat[0, 2] * b_mat[2, 1] - b_mat[0, 1] * b_mat[2, 2]) / det
-    inv[0, 2] = (b_mat[0, 1] * b_mat[1, 2] - b_mat[0, 2] * b_mat[1, 1]) / det
-    inv[1, 0] = (b_mat[1, 2] * b_mat[2, 0] - b_mat[1, 0] * b_mat[2, 2]) / det
-    inv[1, 1] = (b_mat[0, 0] * b_mat[2, 2] - b_mat[0, 2] * b_mat[2, 0]) / det
-    inv[1, 2] = (b_mat[0, 2] * b_mat[1, 0] - b_mat[0, 0] * b_mat[1, 2]) / det
-    inv[2, 0] = (b_mat[1, 0] * b_mat[2, 1] - b_mat[1, 1] * b_mat[2, 0]) / det
-    inv[2, 1] = (b_mat[0, 1] * b_mat[2, 0] - b_mat[0, 0] * b_mat[2, 1]) / det
-    inv[2, 2] = (b_mat[0, 0] * b_mat[1, 1] - b_mat[0, 1] * b_mat[1, 0]) / det
-    nb = 0.0
-    ni = 0.0
-    for r in range(3):
-        for c in range(3):
-            nb += b_mat[r, c] ** 2
-            ni += inv[r, c] ** 2
-    if np.sqrt(nb) * np.sqrt(ni) >= _PI_COND_LIMIT:
-        return _TAU_FLOOR
-    pi = 0.0
-    for r in range(3):
-        for c in range(3):
-            pi += a_mat[r, c] * inv[c, r]
+def _gain_divisor(a, b, lam_min):
+    """lambda_min * (1 + tr(a b^-1)), floored as in attitude_gain_divisor.
+
+    ``a`` and ``b`` are 3x3 matrices as row-major 9-tuples.
+    """
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    det = (b00 * (b11 * b22 - b12 * b21)
+           - b01 * (b10 * b22 - b12 * b20)
+           + b02 * (b10 * b21 - b11 * b20))
+    if det == 0.0 or not isfinite(det):
+        return TAU_FLOOR
+    i00 = (b11 * b22 - b12 * b21) / det
+    i01 = (b02 * b21 - b01 * b22) / det
+    i02 = (b01 * b12 - b02 * b11) / det
+    i10 = (b12 * b20 - b10 * b22) / det
+    i11 = (b00 * b22 - b02 * b20) / det
+    i12 = (b02 * b10 - b00 * b12) / det
+    i20 = (b10 * b21 - b11 * b20) / det
+    i21 = (b01 * b20 - b00 * b21) / det
+    i22 = (b00 * b11 - b01 * b10) / det
+    nb = (0.0 + b00 ** 2 + b01 ** 2 + b02 ** 2 + b10 ** 2 + b11 ** 2
+          + b12 ** 2 + b20 ** 2 + b21 ** 2 + b22 ** 2)
+    ni = (0.0 + i00 ** 2 + i01 ** 2 + i02 ** 2 + i10 ** 2 + i11 ** 2
+          + i12 ** 2 + i20 ** 2 + i21 ** 2 + i22 ** 2)
+    if sqrt(nb) * sqrt(ni) >= _PI_COND_LIMIT:
+        return TAU_FLOOR
+    pi = (0.0 + a00 * i00 + a01 * i10 + a02 * i20 + a10 * i01 + a11 * i11
+          + a12 * i21 + a20 * i02 + a21 * i12 + a22 * i22)
     tau = lam_min * (1.0 + pi)
-    if not np.isfinite(tau) or tau < _TAU_FLOOR:
-        return _TAU_FLOOR
+    if not isfinite(tau) or tau < TAU_FLOOR:
+        return TAU_FLOOR
     return tau
 
 
 @njit(cache=True)
-def _imu_rates(r, p, lm, b, y, refs, body, w, lam_min, om_m, v_m,
-               k_w, k_1, k_2, g1, g2, inv_alpha, scale):
-    """Continuous rates of the IMU-aided observer at one state."""
-    n = lm.shape[0]
-    m = refs.shape[0]
-
-    half = np.zeros(3)
-    a_mat = np.zeros((3, 3))
-    b_mat = np.zeros((3, 3))
-    cr = np.empty(3)
-    for j in range(m):
-        vh = _rot_apply_t(r, refs[j])
-        _cross(vh, body[j], cr)
-        for c in range(3):
-            half[c] += 0.5 * w[j] * cr[c]
-            for rr in range(3):
-                a_mat[rr, c] += w[j] * body[j, rr] * refs[j, c]
-                b_mat[rr, c] += w[j] * vh[rr] * refs[j, c]
-    tau = _gain_divisor(a_mat, b_mat, lam_min)
-
-    w_om = np.empty(3)
-    for c in range(3):
-        w_om[c] = scale * (k_w / tau) * half[c]
-
-    e = np.empty((n, 3))
-    w_v = np.zeros(3)
-    se = np.zeros(3)   # sum of inv_alpha * e_body
-    sc = np.zeros(3)   # sum of inv_alpha * (y x e_body)
-    for i in range(n):
-        ry = _rot_apply(r, y[i])
-        for c in range(3):
-            e[i, c] = lm[i, c] - ry[c] - p[c]
-        ebi = _rot_apply_t(r, e[i])
-        for c in range(3):
-            se[c] += inv_alpha[i] * ebi[c]
-        _cross(y[i], ebi, cr)
-        for c in range(3):
-            sc[c] += inv_alpha[i] * cr[c]
-    for c in range(3):
-        w_v[c] = -k_2 * se[c]
-
-    om = np.empty(3)
-    v = np.empty(3)
-    for c in range(3):
-        om[c] = om_m[c] - b[c] - w_om[c]
-        v[c] = v_m[c] - b[3 + c] - w_v[c]
-
-    r_dot = np.empty((3, 3))
-    for rr in range(3):
-        r_dot[rr, 0] = r[rr, 1] * om[2] - r[rr, 2] * om[1]
-        r_dot[rr, 1] = r[rr, 2] * om[0] - r[rr, 0] * om[2]
-        r_dot[rr, 2] = r[rr, 0] * om[1] - r[rr, 1] * om[0]
-    p_dot = _rot_apply(r, v)
-
-    lm_dot = np.empty((n, 3))
-    for i in range(n):
-        _cross(y[i], w_om, cr)
-        rc = _rot_apply(r, cr)
-        for c in range(3):
-            lm_dot[i, c] = -k_1 * e[i, c] + rc[c]
-
-    b_dot = np.empty(6)
-    for c in range(3):
-        b_dot[c] = scale * 0.5 * g1[c] * half[c] - g1[c] * sc[c]
-        b_dot[3 + c] = -g2[c] * se[c]
-    return r_dot, p_dot, lm_dot, b_dot
+def _direction_terms(vh, refs, body, w, lam_min):
+    """Half attitude innovation sum_j (w_j / 2) vh_j x body_j and the
+    gain divisor tau, from the estimated directions vh_j (reference j
+    carried into the body frame by the attitude estimate)."""
+    h0 = h1 = h2 = 0.0
+    a00 = a01 = a02 = a10 = a11 = a12 = a20 = a21 = a22 = 0.0
+    b00 = b01 = b02 = b10 = b11 = b12 = b20 = b21 = b22 = 0.0
+    for j in range(len(refs)):
+        f0, f1, f2 = refs[j]
+        o0, o1, o2 = body[j]
+        v0, v1, v2 = vh[j]
+        wj = w[j]
+        hw = 0.5 * wj
+        h0 += hw * (v1 * o2 - v2 * o1)
+        h1 += hw * (v2 * o0 - v0 * o2)
+        h2 += hw * (v0 * o1 - v1 * o0)
+        c = wj * o0
+        a00 += c * f0
+        a01 += c * f1
+        a02 += c * f2
+        c = wj * o1
+        a10 += c * f0
+        a11 += c * f1
+        a12 += c * f2
+        c = wj * o2
+        a20 += c * f0
+        a21 += c * f1
+        a22 += c * f2
+        c = wj * v0
+        b00 += c * f0
+        b01 += c * f1
+        b02 += c * f2
+        c = wj * v1
+        b10 += c * f0
+        b11 += c * f1
+        b12 += c * f2
+        c = wj * v2
+        b20 += c * f0
+        b21 += c * f1
+        b22 += c * f2
+    tau = _gain_divisor((a00, a01, a02, a10, a11, a12, a20, a21, a22),
+                        (b00, b01, b02, b10, b11, b12, b20, b21, b22), lam_min)
+    return h0, h1, h2, tau
 
 
 @njit(cache=True)
-def imu_sample(r, p, lm, b, y, refs, body, w, lam_min, om_m, v_m,
-               k_w, k_1, k_2, g1, g2, inv_alpha, scale, dt, nsub):
+def _imu_rates(x, params):
+    """Continuous rates of the IMU-aided observer at one flat state.
+
+    ``params`` is (y, refs, body, w, lam_min, om_m, v_m, k_w, k_1, k_2,
+    g1, g2, inv_alpha, scale) with y, refs and body given row by row.
+    """
+    (y, refs, body, w, lam_min, om_m, v_m, k_w, k_1, k_2, g1, g2,
+     inv_alpha, scale) = params
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = x[:_POS]
+    p0, p1, p2 = x[_POS:_BIAS]
+    bw0, bw1, bw2, bv0, bv1, bv2 = x[_BIAS:_LM]
+
+    # attitude innovation from the direction pairs, and the gain divisor
+    vh = []
+    for j in range(len(refs)):
+        f0, f1, f2 = refs[j]
+        vh.append((r00 * f0 + r10 * f1 + r20 * f2,
+                   r01 * f0 + r11 * f1 + r21 * f2,
+                   r02 * f0 + r12 * f1 + r22 * f2))
+    h0, h1, h2, tau = _direction_terms(vh, refs, body, w, lam_min)
+    kt = scale * (k_w / tau)
+    wo0 = kt * h0
+    wo1 = kt * h1
+    wo2 = kt * h2
+
+    # landmark innovations: translation drive, bias sums, landmark rates
+    nk1 = -k_1
+    se0 = se1 = se2 = 0.0   # sum of inv_alpha * e_body
+    sc0 = sc1 = sc2 = 0.0   # sum of inv_alpha * (y x e_body)
+    lm_dot = []
+    for i in range(len(y)):
+        y0, y1, y2 = y[i]
+        j = _LM + 3 * i
+        e0 = x[j] - (r00 * y0 + r01 * y1 + r02 * y2) - p0
+        e1 = x[j + 1] - (r10 * y0 + r11 * y1 + r12 * y2) - p1
+        e2 = x[j + 2] - (r20 * y0 + r21 * y1 + r22 * y2) - p2
+        eb0 = r00 * e0 + r10 * e1 + r20 * e2
+        eb1 = r01 * e0 + r11 * e1 + r21 * e2
+        eb2 = r02 * e0 + r12 * e1 + r22 * e2
+        ia = inv_alpha[i]
+        se0 += ia * eb0
+        se1 += ia * eb1
+        se2 += ia * eb2
+        sc0 += ia * (y1 * eb2 - y2 * eb1)
+        sc1 += ia * (y2 * eb0 - y0 * eb2)
+        sc2 += ia * (y0 * eb1 - y1 * eb0)
+        c0 = y1 * wo2 - y2 * wo1
+        c1 = y2 * wo0 - y0 * wo2
+        c2 = y0 * wo1 - y1 * wo0
+        lm_dot.append(nk1 * e0 + (r00 * c0 + r01 * c1 + r02 * c2))
+        lm_dot.append(nk1 * e1 + (r10 * c0 + r11 * c1 + r12 * c2))
+        lm_dot.append(nk1 * e2 + (r20 * c0 + r21 * c1 + r22 * c2))
+
+    nk2 = -k_2
+    om0 = om_m[0] - bw0 - wo0
+    om1 = om_m[1] - bw1 - wo1
+    om2 = om_m[2] - bw2 - wo2
+    u0 = v_m[0] - bv0 - nk2 * se0
+    u1 = v_m[1] - bv1 - nk2 * se1
+    u2 = v_m[2] - bv2 - nk2 * se2
+    g10, g11, g12 = g1
+    g20, g21, g22 = g2
+    sh = scale * 0.5
+    return [
+        r01 * om2 - r02 * om1, r02 * om0 - r00 * om2, r00 * om1 - r01 * om0,
+        r11 * om2 - r12 * om1, r12 * om0 - r10 * om2, r10 * om1 - r11 * om0,
+        r21 * om2 - r22 * om1, r22 * om0 - r20 * om2, r20 * om1 - r21 * om0,
+        r00 * u0 + r01 * u1 + r02 * u2,
+        r10 * u0 + r11 * u1 + r12 * u2,
+        r20 * u0 + r21 * u1 + r22 * u2,
+        sh * g10 * h0 - g10 * sc0,
+        sh * g11 * h1 - g11 * sc1,
+        sh * g12 * h2 - g12 * sc2,
+        -g20 * se0, -g21 * se1, -g22 * se2,
+    ] + lm_dot
+
+
+@njit(cache=True)
+def imu_sample(x, params, dt, nsub):
     """One measurement interval of the IMU-aided observer (RK4)."""
-    r = r.copy()
-    p = p.copy()
-    lm = lm.copy()
-    b = b.copy()
     h = dt / nsub
+    state = [a for a in x]
     for _ in range(nsub):
-        r1, p1, l1, b1 = _imu_rates(r, p, lm, b, y, refs, body, w, lam_min,
-                                    om_m, v_m, k_w, k_1, k_2, g1, g2,
-                                    inv_alpha, scale)
-        r2, p2, l2, b2 = _imu_rates(r + 0.5 * h * r1, p + 0.5 * h * p1,
-                                    lm + 0.5 * h * l1, b + 0.5 * h * b1,
-                                    y, refs, body, w, lam_min, om_m, v_m,
-                                    k_w, k_1, k_2, g1, g2, inv_alpha, scale)
-        r3, p3, l3, b3 = _imu_rates(r + 0.5 * h * r2, p + 0.5 * h * p2,
-                                    lm + 0.5 * h * l2, b + 0.5 * h * b2,
-                                    y, refs, body, w, lam_min, om_m, v_m,
-                                    k_w, k_1, k_2, g1, g2, inv_alpha, scale)
-        r4, p4, l4, b4 = _imu_rates(r + h * r3, p + h * p3,
-                                    lm + h * l3, b + h * b3,
-                                    y, refs, body, w, lam_min, om_m, v_m,
-                                    k_w, k_1, k_2, g1, g2, inv_alpha, scale)
-        s = h / 6.0
-        r = r + s * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        p = p + s * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        lm = lm + s * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        b = b + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    return _renormalize(r), p, lm, b
+        state = _rk4(_imu_rates, state, params, h)
+    return _renormalize(state)
 
 
 @njit(cache=True)
-def _basic_rates(r, p, lm, b, y, om_m, v_m, k_w, k_1, gamma, inv_alpha):
-    """Continuous rates of the feature-only observer at one state."""
-    n = lm.shape[0]
+def _basic_rates(x, params):
+    """Continuous rates of the feature-only observer at one flat state.
 
-    e = np.empty((n, 3))
-    zr = np.zeros(3)    # sum g_i x e_i
-    zv = np.zeros(3)    # sum e_i
-    zwr = np.zeros(3)   # weighted sums for the bias drive
-    zwv = np.zeros(3)
-    cr = np.empty(3)
-    gi = np.empty(3)
-    for i in range(n):
-        ry = _rot_apply(r, y[i])
-        for c in range(3):
-            e[i, c] = lm[i, c] - ry[c] - p[c]
-            gi[c] = lm[i, c] - e[i, c]
-        _cross(gi, e[i], cr)
-        for c in range(3):
-            zr[c] += cr[c]
-            zv[c] += e[i, c]
-            zwr[c] += inv_alpha[i] * cr[c]
-            zwv[c] += inv_alpha[i] * e[i, c]
+    ``params`` is (y, om_m, v_m, k_w, k_1, gamma, inv_alpha), y row by row.
+    """
+    y, om_m, v_m, k_w, k_1, gamma, inv_alpha = params
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = x[:_POS]
+    p0, p1, p2 = x[_POS:_BIAS]
+    bw0, bw1, bw2, bv0, bv1, bv2 = x[_BIAS:_LM]
+
+    nk1 = -k_1
+    zr0 = zr1 = zr2 = 0.0      # sum g_i x e_i
+    zv0 = zv1 = zv2 = 0.0      # sum e_i
+    zwr0 = zwr1 = zwr2 = 0.0   # weighted sums for the bias drive
+    zwv0 = zwv1 = zwv2 = 0.0
+    lm_dot = []
+    for i in range(len(y)):
+        y0, y1, y2 = y[i]
+        j = _LM + 3 * i
+        l0 = x[j]
+        l1 = x[j + 1]
+        l2 = x[j + 2]
+        e0 = l0 - (r00 * y0 + r01 * y1 + r02 * y2) - p0
+        e1 = l1 - (r10 * y0 + r11 * y1 + r12 * y2) - p1
+        e2 = l2 - (r20 * y0 + r21 * y1 + r22 * y2) - p2
+        gi0 = l0 - e0
+        gi1 = l1 - e1
+        gi2 = l2 - e2
+        c0 = gi1 * e2 - gi2 * e1
+        c1 = gi2 * e0 - gi0 * e2
+        c2 = gi0 * e1 - gi1 * e0
+        ia = inv_alpha[i]
+        zr0 += c0
+        zr1 += c1
+        zr2 += c2
+        zv0 += e0
+        zv1 += e1
+        zv2 += e2
+        zwr0 += ia * c0
+        zwr1 += ia * c1
+        zwr2 += ia * c2
+        zwv0 += ia * e0
+        zwv1 += ia * e1
+        zwv2 += ia * e2
+        lm_dot.append(nk1 * e0)
+        lm_dot.append(nk1 * e1)
+        lm_dot.append(nk1 * e2)
 
     # pose correction -k_w Ad(T^-1) [zr; zv] with T^-1 = (R^T, -R^T P)
-    rzr = _rot_apply_t(r, zr)
-    rzv = _rot_apply_t(r, zv)
-    rp = _rot_apply_t(r, p)
-    _cross(rp, rzr, cr)
-    w_r = np.empty(3)
-    w_v = np.empty(3)
-    for c in range(3):
-        w_r[c] = -k_w * rzr[c]
-        w_v[c] = -k_w * (rzv[c] - cr[c])
-
-    om = np.empty(3)
-    v = np.empty(3)
-    for c in range(3):
-        om[c] = om_m[c] - b[c] - w_r[c]
-        v[c] = v_m[c] - b[3 + c] - w_v[c]
-
-    r_dot = np.empty((3, 3))
-    for rr in range(3):
-        r_dot[rr, 0] = r[rr, 1] * om[2] - r[rr, 2] * om[1]
-        r_dot[rr, 1] = r[rr, 2] * om[0] - r[rr, 0] * om[2]
-        r_dot[rr, 2] = r[rr, 0] * om[1] - r[rr, 1] * om[0]
-    p_dot = _rot_apply(r, v)
-
-    lm_dot = np.empty((n, 3))
-    for i in range(n):
-        for c in range(3):
-            lm_dot[i, c] = -k_1 * e[i, c]
+    rzr0 = r00 * zr0 + r10 * zr1 + r20 * zr2
+    rzr1 = r01 * zr0 + r11 * zr1 + r21 * zr2
+    rzr2 = r02 * zr0 + r12 * zr1 + r22 * zr2
+    rzv0 = r00 * zv0 + r10 * zv1 + r20 * zv2
+    rzv1 = r01 * zv0 + r11 * zv1 + r21 * zv2
+    rzv2 = r02 * zv0 + r12 * zv1 + r22 * zv2
+    rp0 = r00 * p0 + r10 * p1 + r20 * p2
+    rp1 = r01 * p0 + r11 * p1 + r21 * p2
+    rp2 = r02 * p0 + r12 * p1 + r22 * p2
+    nkw = -k_w
+    om0 = om_m[0] - bw0 - nkw * rzr0
+    om1 = om_m[1] - bw1 - nkw * rzr1
+    om2 = om_m[2] - bw2 - nkw * rzr2
+    u0 = v_m[0] - bv0 - nkw * (rzv0 - (rp1 * rzr2 - rp2 * rzr1))
+    u1 = v_m[1] - bv1 - nkw * (rzv1 - (rp2 * rzr0 - rp0 * rzr2))
+    u2 = v_m[2] - bv2 - nkw * (rzv2 - (rp0 * rzr1 - rp1 * rzr0))
 
     # bias drive Ad(T)^T [zwr; zwv] = [R^T (zwr - P x zwv); R^T zwv]
-    _cross(p, zwv, cr)
-    for c in range(3):
-        cr[c] = zwr[c] - cr[c]
-    dr = _rot_apply_t(r, cr)
-    dv = _rot_apply_t(r, zwv)
-    b_dot = np.empty(6)
-    for c in range(3):
-        b_dot[c] = -gamma[c] * dr[c]
-        b_dot[3 + c] = -gamma[3 + c] * dv[c]
-    return r_dot, p_dot, lm_dot, b_dot
+    d0 = zwr0 - (p1 * zwv2 - p2 * zwv1)
+    d1 = zwr1 - (p2 * zwv0 - p0 * zwv2)
+    d2 = zwr2 - (p0 * zwv1 - p1 * zwv0)
+    gm0, gm1, gm2, gm3, gm4, gm5 = gamma
+    return [
+        r01 * om2 - r02 * om1, r02 * om0 - r00 * om2, r00 * om1 - r01 * om0,
+        r11 * om2 - r12 * om1, r12 * om0 - r10 * om2, r10 * om1 - r11 * om0,
+        r21 * om2 - r22 * om1, r22 * om0 - r20 * om2, r20 * om1 - r21 * om0,
+        r00 * u0 + r01 * u1 + r02 * u2,
+        r10 * u0 + r11 * u1 + r12 * u2,
+        r20 * u0 + r21 * u1 + r22 * u2,
+        -gm0 * (r00 * d0 + r10 * d1 + r20 * d2),
+        -gm1 * (r01 * d0 + r11 * d1 + r21 * d2),
+        -gm2 * (r02 * d0 + r12 * d1 + r22 * d2),
+        -gm3 * (r00 * zwv0 + r10 * zwv1 + r20 * zwv2),
+        -gm4 * (r01 * zwv0 + r11 * zwv1 + r21 * zwv2),
+        -gm5 * (r02 * zwv0 + r12 * zwv1 + r22 * zwv2),
+    ] + lm_dot
 
 
 @njit(cache=True)
-def basic_sample(r, p, lm, b, y, om_m, v_m, k_w, k_1, gamma, inv_alpha,
-                 dt, nsub):
+def basic_sample(x, params, dt, nsub):
     """One measurement interval of the feature-only observer (RK4)."""
-    r = r.copy()
-    p = p.copy()
-    lm = lm.copy()
-    b = b.copy()
     h = dt / nsub
+    state = [a for a in x]
     for _ in range(nsub):
-        r1, p1, l1, b1 = _basic_rates(r, p, lm, b, y, om_m, v_m,
-                                      k_w, k_1, gamma, inv_alpha)
-        r2, p2, l2, b2 = _basic_rates(r + 0.5 * h * r1, p + 0.5 * h * p1,
-                                      lm + 0.5 * h * l1, b + 0.5 * h * b1,
-                                      y, om_m, v_m, k_w, k_1, gamma, inv_alpha)
-        r3, p3, l3, b3 = _basic_rates(r + 0.5 * h * r2, p + 0.5 * h * p2,
-                                      lm + 0.5 * h * l2, b + 0.5 * h * b2,
-                                      y, om_m, v_m, k_w, k_1, gamma, inv_alpha)
-        r4, p4, l4, b4 = _basic_rates(r + h * r3, p + h * p3,
-                                      lm + h * l3, b + h * b3,
-                                      y, om_m, v_m, k_w, k_1, gamma, inv_alpha)
-        s = h / 6.0
-        r = r + s * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        p = p + s * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        lm = lm + s * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        b = b + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    return _renormalize(r), p, lm, b
+        state = _rk4(_basic_rates, state, params, h)
+    return _renormalize(state)
 
 
 @njit(cache=True)
-def _exp_step(r, p, om, v, h, r_out, p_out):
+def _quat_rotate(q, x):
+    """Conjugation q (x) (0, x) (x) q^-1 in expanded form; q a 4-tuple,
+    x a 3-vector, result a 3-tuple."""
+    q0, q1, q2, q3 = q
+    x0, x1, x2 = x
+    tx = q2 * x2 - q3 * x1
+    ty = q3 * x0 - q1 * x2
+    tz = q1 * x1 - q2 * x0
+    return (x0 + 2.0 * (q0 * tx + q2 * tz - q3 * ty),
+            x1 + 2.0 * (q0 * ty + q3 * tx - q1 * tz),
+            x2 + 2.0 * (q0 * tz + q1 * ty - q2 * tx))
+
+
+@njit(cache=True)
+def _quat_rates(x, params):
+    """Continuous rates of the quaternion build of the IMU observer.
+
+    Same ``params`` as :func:`_imu_rates`; the flat state starts with
+    the scalar-first unit quaternion instead of a rotation matrix.
+    """
+    (y, refs, body, w, lam_min, om_m, v_m, k_w, k_1, k_2, g1, g2,
+     inv_alpha, scale) = params
+    q0, q1, q2, q3 = x[:_Q_POS]
+    p0, p1, p2 = x[_Q_POS:_Q_BIAS]
+    bw0, bw1, bw2, bv0, bv1, bv2 = x[_Q_BIAS:_Q_LM]
+    q = (q0, q1, q2, q3)
+    qc = (q0, -q1, -q2, -q3)
+
+    vh = []
+    for j in range(len(refs)):
+        vh.append(_quat_rotate(qc, refs[j]))
+    h0, h1, h2, tau = _direction_terms(vh, refs, body, w, lam_min)
+
+    # carried to the inertial frame and straight back by conjugation,
+    # matching the matrix filter's body-frame innovation
+    n0, n1, n2 = _quat_rotate(qc, _quat_rotate(q, (h0, h1, h2)))
+    kt = scale * (k_w / tau)
+    wo0 = kt * n0
+    wo1 = kt * n1
+    wo2 = kt * n2
+
+    nk1 = -k_1
+    se0 = se1 = se2 = 0.0
+    sc0 = sc1 = sc2 = 0.0
+    lm_dot = []
+    for i in range(len(y)):
+        y0, y1, y2 = y[i]
+        j = _Q_LM + 3 * i
+        ry0, ry1, ry2 = _quat_rotate(q, y[i])
+        e0 = x[j] - ry0 - p0
+        e1 = x[j + 1] - ry1 - p1
+        e2 = x[j + 2] - ry2 - p2
+        eb0, eb1, eb2 = _quat_rotate(qc, (e0, e1, e2))
+        ia = inv_alpha[i]
+        se0 += ia * eb0
+        se1 += ia * eb1
+        se2 += ia * eb2
+        sc0 += ia * (y1 * eb2 - y2 * eb1)
+        sc1 += ia * (y2 * eb0 - y0 * eb2)
+        sc2 += ia * (y0 * eb1 - y1 * eb0)
+        t0, t1, t2 = _quat_rotate(q, (y1 * wo2 - y2 * wo1,
+                                      y2 * wo0 - y0 * wo2,
+                                      y0 * wo1 - y1 * wo0))
+        lm_dot.append(nk1 * e0 + t0)
+        lm_dot.append(nk1 * e1 + t1)
+        lm_dot.append(nk1 * e2 + t2)
+
+    nk2 = -k_2
+    chi0 = om_m[0] - bw0 - wo0
+    chi1 = om_m[1] - bw1 - wo1
+    chi2 = om_m[2] - bw2 - wo2
+    pd0, pd1, pd2 = _quat_rotate(q, (v_m[0] - bv0 - nk2 * se0,
+                                     v_m[1] - bv1 - nk2 * se1,
+                                     v_m[2] - bv2 - nk2 * se2))
+    g10, g11, g12 = g1
+    g20, g21, g22 = g2
+    sh = scale * 0.5
+    # dq/dt = 0.5 q (x) (0, chi)
+    return [
+        0.5 * (-q1 * chi0 - q2 * chi1 - q3 * chi2),
+        0.5 * (q0 * chi0 + q2 * chi2 - q3 * chi1),
+        0.5 * (q0 * chi1 + q3 * chi0 - q1 * chi2),
+        0.5 * (q0 * chi2 + q1 * chi1 - q2 * chi0),
+        pd0, pd1, pd2,
+        sh * g10 * n0 - g10 * sc0,
+        sh * g11 * n1 - g11 * sc1,
+        sh * g12 * n2 - g12 * sc2,
+        -g20 * se0, -g21 * se1, -g22 * se2,
+    ] + lm_dot
+
+
+@njit(cache=True)
+def quat_sample(x, params, dt, nsub):
+    """One measurement interval of the quaternion observer (RK4), with
+    the quaternion renormalized after every substep."""
+    h = dt / nsub
+    state = [a for a in x]
+    for _ in range(nsub):
+        state = _rk4(_quat_rates, state, params, h)
+        q0, q1, q2, q3 = state[:_Q_POS]
+        qn = sqrt(q0 ** 2 + q1 ** 2 + q2 ** 2 + q3 ** 2)
+        state = [q0 / qn, q1 / qn, q2 / qn, q3 / qn] + state[_Q_POS:]
+    return state
+
+
+@njit(cache=True)
+def _exp_step(r, p, om, v, h):
     """Advance (r, p) by the twist (om, v) held for h seconds.
 
     Same closed Rodrigues / left-Jacobian forms as liegroup.se3_exp,
     written on w w^T - theta^2 I instead of an explicit skew square.
+    ``r`` is a row-major 9-sequence; returns (rotation 9-tuple,
+    position 3-tuple).
     """
-    w0 = om[0] * h
-    w1 = om[1] * h
-    w2 = om[2] * h
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    p0, p1, p2 = p
+    om0, om1, om2 = om
+    v0, v1, v2 = v
+    w0 = om0 * h
+    w1 = om1 * h
+    w2 = om2 * h
     t2 = w0 * w0 + w1 * w1 + w2 * w2
-    theta = np.sqrt(t2)
+    theta = sqrt(t2)
     if theta < 1e-6:
         a = 1.0
         b = 0.5
         jc = 1.0 / 6.0
     else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / t2
-        jc = (theta - np.sin(theta)) / (t2 * theta)
-    w = (w0, w1, w2)
-    ex = np.empty((3, 3))
-    jl = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            ww = w[i] * w[j]
-            ex[i, j] = b * ww
-            jl[i, j] = jc * ww
-        ex[i, i] += 1.0 - b * t2
-        jl[i, i] += 1.0 - jc * t2
-    ex[0, 1] -= a * w2
-    ex[0, 2] += a * w1
-    ex[1, 0] += a * w2
-    ex[1, 2] -= a * w0
-    ex[2, 0] -= a * w1
-    ex[2, 1] += a * w0
-    jl[0, 1] -= b * w2
-    jl[0, 2] += b * w1
-    jl[1, 0] += b * w2
-    jl[1, 2] -= b * w0
-    jl[2, 0] -= b * w1
-    jl[2, 1] += b * w0
-    for i in range(3):
-        for j in range(3):
-            r_out[i, j] = r[i, 0] * ex[0, j] + r[i, 1] * ex[1, j] + r[i, 2] * ex[2, j]
-    for i in range(3):
-        ti = h * (jl[i, 0] * v[0] + jl[i, 1] * v[1] + jl[i, 2] * v[2])
-        p_out[i] = ti  # temporarily the body-frame translation
-    t0 = p_out[0]
-    t1 = p_out[1]
-    t2b = p_out[2]
-    for i in range(3):
-        p_out[i] = p[i] + r[i, 0] * t0 + r[i, 1] * t1 + r[i, 2] * t2b
+        sin_t = float(np.sin(theta))
+        a = sin_t / theta
+        b = (1.0 - float(np.cos(theta))) / t2
+        jc = (theta - sin_t) / (t2 * theta)
+    w00 = w0 * w0
+    w01 = w0 * w1
+    w02 = w0 * w2
+    w11 = w1 * w1
+    w12 = w1 * w2
+    w22 = w2 * w2
+    de = 1.0 - b * t2
+    dj = 1.0 - jc * t2
+    e00 = b * w00 + de
+    e01 = b * w01 - a * w2
+    e02 = b * w02 + a * w1
+    e10 = b * w01 + a * w2
+    e11 = b * w11 + de
+    e12 = b * w12 - a * w0
+    e20 = b * w02 - a * w1
+    e21 = b * w12 + a * w0
+    e22 = b * w22 + de
+    j00 = jc * w00 + dj
+    j01 = jc * w01 - b * w2
+    j02 = jc * w02 + b * w1
+    j10 = jc * w01 + b * w2
+    j11 = jc * w11 + dj
+    j12 = jc * w12 - b * w0
+    j20 = jc * w02 - b * w1
+    j21 = jc * w12 + b * w0
+    j22 = jc * w22 + dj
+    # body-frame translation of the step
+    t0 = h * (j00 * v0 + j01 * v1 + j02 * v2)
+    t1 = h * (j10 * v0 + j11 * v1 + j12 * v2)
+    tz = h * (j20 * v0 + j21 * v1 + j22 * v2)
+    return ((r00 * e00 + r01 * e10 + r02 * e20,
+             r00 * e01 + r01 * e11 + r02 * e21,
+             r00 * e02 + r01 * e12 + r02 * e22,
+             r10 * e00 + r11 * e10 + r12 * e20,
+             r10 * e01 + r11 * e11 + r12 * e21,
+             r10 * e02 + r11 * e12 + r12 * e22,
+             r20 * e00 + r21 * e10 + r22 * e20,
+             r20 * e01 + r21 * e11 + r22 * e21,
+             r20 * e02 + r21 * e12 + r22 * e22),
+            (p0 + r00 * t0 + r01 * t1 + r02 * tz,
+             p1 + r10 * t0 + r11 * t1 + r12 * tz,
+             p2 + r20 * t0 + r21 * t1 + r22 * tz))
+
+
+@njit(cache=True)
+def _store(out, k, values):
+    """out[k, :] = values, entry by entry."""
+    for j in range(len(values)):
+        out[k, j] = values[j]
 
 
 @njit(cache=True)
@@ -397,203 +596,87 @@ def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
     produce: measured twist from the interval-midpoint truth plus bias
     and scaled noise, features/directions from the midpoint pose, truth
     advanced by the midpoint twist.  Noise comes pre-drawn so the caller
-    owns the RNG.
+    owns the RNG.  ``r0`` is the initial rotation as a row-major
+    9-sequence, ``lm`` and ``refs`` go row by row; the outputs are
+    arrays with one row per step, rotations flattened to 9 columns,
+    features and directions to 3n and 3m.
     """
-    n = lm.shape[0]
-    m = refs.shape[0]
-    r = r0.copy()
-    p = p0.copy()
-    r_mid = np.empty((3, 3))
-    p_mid = np.empty(3)
-    r_next = np.empty((3, 3))
-    p_next = np.empty(3)
-    om_true = np.empty(3)
-    v_true = np.empty(3)
-    om_q = np.empty(3)
-    v_q = np.empty(3)
-    third = np.empty(3)
+    om_c0, om_c1, om_c2 = om_c
+    om_s0, om_s1, om_s2 = om_s
+    v_c0, v_c1, v_c2 = v_c
+    v_s0, v_s1, v_s2 = v_s
+    bo0, bo1, bo2 = bias_om
+    bv0, bv1, bv2 = bias_v
+    r = (r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7], r0[8])
+    p = (p0[0], p0[1], p0[2])
+    feat = std_feat > 0.0
+    m = len(refs)
     for k in range(k_steps):
-        for i in range(3):
-            for j in range(3):
-                rotations[k, i, j] = r[i, j]
-            positions[k, i] = p[i]
+        _store(rotations, k, r)
+        _store(positions, k, p)
 
         t_mid = (k + 0.5) * dt
         t_quarter = (k + 0.25) * dt
-        for c in range(3):
-            om_true[c] = om_c[c] + om_s[c] * t_mid
-            v_true[c] = v_c[c] + v_s[c] * t_mid
-            om_q[c] = om_c[c] + om_s[c] * t_quarter
-            v_q[c] = v_c[c] + v_s[c] * t_quarter
-            u_m[k, c] = om_true[c] + bias_om[c] + std_om * vel_noise[k, c]
-            u_m[k, 3 + c] = v_true[c] + bias_v[c] + std_v * vel_noise[k, 3 + c]
+        om_true = (om_c0 + om_s0 * t_mid, om_c1 + om_s1 * t_mid, om_c2 + om_s2 * t_mid)
+        v_true = (v_c0 + v_s0 * t_mid, v_c1 + v_s1 * t_mid, v_c2 + v_s2 * t_mid)
+        _store(u_m, k, (
+            om_true[0] + bo0 + std_om * float(vel_noise[k, 0]),
+            om_true[1] + bo1 + std_om * float(vel_noise[k, 1]),
+            om_true[2] + bo2 + std_om * float(vel_noise[k, 2]),
+            v_true[0] + bv0 + std_v * float(vel_noise[k, 3]),
+            v_true[1] + bv1 + std_v * float(vel_noise[k, 4]),
+            v_true[2] + bv2 + std_v * float(vel_noise[k, 5]),
+        ))
 
-        _exp_step(r, p, om_q, v_q, 0.5 * dt, r_mid, p_mid)
-        for i in range(3):
-            for j in range(3):
-                mid_rot[k, i, j] = r_mid[i, j]
-            mid_pos[k, i] = p_mid[i]
+        rm, pm = _exp_step(r, p, (om_c0 + om_s0 * t_quarter,
+                                  om_c1 + om_s1 * t_quarter,
+                                  om_c2 + om_s2 * t_quarter),
+                           (v_c0 + v_s0 * t_quarter,
+                            v_c1 + v_s1 * t_quarter,
+                            v_c2 + v_s2 * t_quarter), 0.5 * dt)
+        _store(mid_rot, k, rm)
+        _store(mid_pos, k, pm)
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = rm
+        pm0, pm1, pm2 = pm
 
-        for i in range(n):
-            d0 = lm[i, 0] - p_mid[0]
-            d1 = lm[i, 1] - p_mid[1]
-            d2 = lm[i, 2] - p_mid[2]
-            for c in range(3):
-                y[k, i, c] = d0 * r_mid[0, c] + d1 * r_mid[1, c] + d2 * r_mid[2, c]
-                if std_feat > 0.0:
-                    y[k, i, c] += std_feat * feat_noise[k, i, c]
+        for i in range(len(lm)):
+            l0, l1, l2 = lm[i]
+            d0 = l0 - pm0
+            d1 = l1 - pm1
+            d2 = l2 - pm2
+            c0 = d0 * m00 + d1 * m10 + d2 * m20
+            c1 = d0 * m01 + d1 * m11 + d2 * m21
+            c2 = d0 * m02 + d1 * m12 + d2 * m22
+            if feat:
+                c0 += std_feat * float(feat_noise[k, i, 0])
+                c1 += std_feat * float(feat_noise[k, i, 1])
+                c2 += std_feat * float(feat_noise[k, i, 2])
+            y[k, 3 * i] = c0
+            y[k, 3 * i + 1] = c1
+            y[k, 3 * i + 2] = c2
 
+        # body rows of the configured directions, then the renormalized
+        # cross product of the first two
         for j in range(m - 1):
-            for c in range(3):
-                imu_body[k, j, c] = (refs[j, 0] * r_mid[0, c]
-                                     + refs[j, 1] * r_mid[1, c]
-                                     + refs[j, 2] * r_mid[2, c])
-        _cross(imu_body[k, 0], imu_body[k, 1], third)
-        tn = np.sqrt(third[0] ** 2 + third[1] ** 2 + third[2] ** 2)
-        for c in range(3):
-            imu_body[k, m - 1, c] = third[c] / tn
+            f0, f1, f2 = refs[j]
+            imu_body[k, 3 * j] = f0 * m00 + f1 * m10 + f2 * m20
+            imu_body[k, 3 * j + 1] = f0 * m01 + f1 * m11 + f2 * m21
+            imu_body[k, 3 * j + 2] = f0 * m02 + f1 * m12 + f2 * m22
+        a0 = float(imu_body[k, 0])
+        a1 = float(imu_body[k, 1])
+        a2 = float(imu_body[k, 2])
+        b0 = float(imu_body[k, 3])
+        b1 = float(imu_body[k, 4])
+        b2 = float(imu_body[k, 5])
+        t0 = a1 * b2 - a2 * b1
+        t1 = a2 * b0 - a0 * b2
+        t2 = a0 * b1 - a1 * b0
+        tn = sqrt(t0 ** 2 + t1 ** 2 + t2 ** 2)
+        imu_body[k, 3 * m - 3] = t0 / tn
+        imu_body[k, 3 * m - 2] = t1 / tn
+        imu_body[k, 3 * m - 1] = t2 / tn
 
-        _exp_step(r, p, om_true, v_true, dt, r_next, p_next)
-        for i in range(3):
-            for j in range(3):
-                r[i, j] = r_next[i, j]
-            p[i] = p_next[i]
+        r, p = _exp_step(r, p, om_true, v_true, dt)
 
-    for i in range(3):
-        for j in range(3):
-            rotations[k_steps, i, j] = r[i, j]
-        positions[k_steps, i] = p[i]
-
-
-@njit(cache=True)
-def _quat_rotate(q, x, out):
-    """Conjugation q (x) (0, x) (x) q^-1 in expanded form."""
-    tx = q[2] * x[2] - q[3] * x[1]
-    ty = q[3] * x[0] - q[1] * x[2]
-    tz = q[1] * x[1] - q[2] * x[0]
-    out[0] = x[0] + 2.0 * (q[0] * tx + q[2] * tz - q[3] * ty)
-    out[1] = x[1] + 2.0 * (q[0] * ty + q[3] * tx - q[1] * tz)
-    out[2] = x[2] + 2.0 * (q[0] * tz + q[1] * ty - q[2] * tx)
-
-
-@njit(cache=True)
-def _quat_rates(q, p, lm, b, y, refs, body, w, lam_min, om_m, v_m,
-                k_w, k_1, k_2, g1, g2, inv_alpha, scale):
-    """Continuous rates of the quaternion build of the IMU observer."""
-    n = lm.shape[0]
-    m = refs.shape[0]
-    qc = np.empty(4)
-    qc[0] = q[0]
-    qc[1] = -q[1]
-    qc[2] = -q[2]
-    qc[3] = -q[3]
-
-    half = np.zeros(3)
-    a_mat = np.zeros((3, 3))
-    b_mat = np.zeros((3, 3))
-    vh = np.empty(3)
-    cr = np.empty(3)
-    for j in range(m):
-        _quat_rotate(qc, refs[j], vh)
-        _cross(vh, body[j], cr)
-        for c in range(3):
-            half[c] += 0.5 * w[j] * cr[c]
-            for rr in range(3):
-                a_mat[rr, c] += w[j] * body[j, rr] * refs[j, c]
-                b_mat[rr, c] += w[j] * vh[rr] * refs[j, c]
-    tau = _gain_divisor(a_mat, b_mat, lam_min)
-
-    # carried to the inertial frame and straight back by conjugation,
-    # matching the matrix filter's body-frame innovation
-    tmp = np.empty(3)
-    innov = np.empty(3)
-    _quat_rotate(q, half, tmp)
-    _quat_rotate(qc, tmp, innov)
-
-    w_om = np.empty(3)
-    for c in range(3):
-        w_om[c] = scale * (k_w / tau) * innov[c]
-
-    e = np.empty((n, 3))
-    w_v = np.zeros(3)
-    se = np.zeros(3)
-    sc = np.zeros(3)
-    ebi = np.empty(3)
-    ry = np.empty(3)
-    for i in range(n):
-        _quat_rotate(q, y[i], ry)
-        for c in range(3):
-            e[i, c] = lm[i, c] - ry[c] - p[c]
-        _quat_rotate(qc, e[i], ebi)
-        for c in range(3):
-            se[c] += inv_alpha[i] * ebi[c]
-        _cross(y[i], ebi, cr)
-        for c in range(3):
-            sc[c] += inv_alpha[i] * cr[c]
-    for c in range(3):
-        w_v[c] = -k_2 * se[c]
-
-    chi = np.empty(3)
-    v = np.empty(3)
-    for c in range(3):
-        chi[c] = om_m[c] - b[c] - w_om[c]
-        v[c] = v_m[c] - b[3 + c] - w_v[c]
-
-    # dq/dt = 0.5 q (x) (0, chi)
-    q_dot = np.empty(4)
-    q_dot[0] = 0.5 * (-q[1] * chi[0] - q[2] * chi[1] - q[3] * chi[2])
-    q_dot[1] = 0.5 * (q[0] * chi[0] + q[2] * chi[2] - q[3] * chi[1])
-    q_dot[2] = 0.5 * (q[0] * chi[1] + q[3] * chi[0] - q[1] * chi[2])
-    q_dot[3] = 0.5 * (q[0] * chi[2] + q[1] * chi[1] - q[2] * chi[0])
-
-    p_dot = np.empty(3)
-    _quat_rotate(q, v, p_dot)
-
-    lm_dot = np.empty((n, 3))
-    for i in range(n):
-        _cross(y[i], w_om, cr)
-        _quat_rotate(q, cr, tmp)
-        for c in range(3):
-            lm_dot[i, c] = -k_1 * e[i, c] + tmp[c]
-
-    b_dot = np.empty(6)
-    for c in range(3):
-        b_dot[c] = scale * 0.5 * g1[c] * innov[c] - g1[c] * sc[c]
-        b_dot[3 + c] = -g2[c] * se[c]
-    return q_dot, p_dot, lm_dot, b_dot
-
-
-@njit(cache=True)
-def quat_sample(q, p, lm, b, y, refs, body, w, lam_min, om_m, v_m,
-                k_w, k_1, k_2, g1, g2, inv_alpha, scale, dt, nsub):
-    """One measurement interval of the quaternion observer (RK4)."""
-    q = q.copy()
-    p = p.copy()
-    lm = lm.copy()
-    b = b.copy()
-    h = dt / nsub
-    for _ in range(nsub):
-        q1, p1, l1, b1 = _quat_rates(q, p, lm, b, y, refs, body, w, lam_min,
-                                     om_m, v_m, k_w, k_1, k_2, g1, g2,
-                                     inv_alpha, scale)
-        q2, p2, l2, b2 = _quat_rates(q + 0.5 * h * q1, p + 0.5 * h * p1,
-                                     lm + 0.5 * h * l1, b + 0.5 * h * b1,
-                                     y, refs, body, w, lam_min, om_m, v_m,
-                                     k_w, k_1, k_2, g1, g2, inv_alpha, scale)
-        q3, p3, l3, b3 = _quat_rates(q + 0.5 * h * q2, p + 0.5 * h * p2,
-                                     lm + 0.5 * h * l2, b + 0.5 * h * b2,
-                                     y, refs, body, w, lam_min, om_m, v_m,
-                                     k_w, k_1, k_2, g1, g2, inv_alpha, scale)
-        q4, p4, l4, b4 = _quat_rates(q + h * q3, p + h * p3,
-                                     lm + h * l3, b + h * b3,
-                                     y, refs, body, w, lam_min, om_m, v_m,
-                                     k_w, k_1, k_2, g1, g2, inv_alpha, scale)
-        s = h / 6.0
-        q = q + s * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        p = p + s * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        lm = lm + s * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        b = b + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        qn = np.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
-        for c in range(4):
-            q[c] /= qn
-    return q, p, lm, b
+    _store(rotations, k_steps, r)
+    _store(positions, k_steps, p)

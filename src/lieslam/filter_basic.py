@@ -98,6 +98,45 @@ def basic_correction(fs: FilterState, e: np.ndarray, gains: BasicGains) -> Twist
 DEFAULT_SUBSTEPS = 2
 
 
+def pack_state(attitude: np.ndarray, position: np.ndarray, bias: Twist,
+               landmarks: np.ndarray) -> list | np.ndarray:
+    """Flat kernel state: attitude, position, bias, then landmark rows
+    (see ``_kernels.to_kernel`` for the container)."""
+    return _kernels.to_kernel(np.concatenate((
+        attitude.ravel(), position, bias.omega, bias.v, landmarks.ravel())))
+
+
+def run_sample(sample, x, params, dt: float, substeps: int, what: str) -> np.ndarray:
+    """Advance one interval with a ``_kernels.*_sample`` kernel.
+
+    This is the one place a step meets the kernel's float arithmetic:
+    a finite overflow in ``**`` (OverflowError), a division by zero
+    (ZeroDivisionError) and a non-finite result all mean the estimator
+    diverged.  Returns the flat state as an array.
+    """
+    try:
+        out = np.array(sample(x, params, dt, substeps))
+    except (OverflowError, ZeroDivisionError):
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise FilterDivergence(f"{what} produced a non-finite state")
+    return out
+
+
+def split_state(out: np.ndarray, attitude_size: int) -> tuple[np.ndarray, ...]:
+    """Views (attitude, position, bias omega, bias v, landmark rows) of a
+    flat state laid out by ``pack_state``."""
+    a = attitude_size
+    return (out[:a], out[a:a + 3], out[a + 3:a + 6], out[a + 6:a + 9],
+            out[a + 9:].reshape(-1, 3))
+
+
+def unpack_state(out: np.ndarray) -> FilterState:
+    """FilterState of a flat state with a row-major rotation up front."""
+    r, p, b_omega, b_v, lm = split_state(out, 9)
+    return FilterState(Pose(r.reshape(3, 3), p), lm, Twist(b_omega, b_v))
+
+
 def basic_step(fs: FilterState, m: MeasurementBundle, gains: BasicGains,
                dt: float, substeps: int = DEFAULT_SUBSTEPS) -> FilterState:
     """Advance the feature-only observer across one measurement interval.
@@ -109,19 +148,16 @@ def basic_step(fs: FilterState, m: MeasurementBundle, gains: BasicGains,
     adjoint-transposed innovation wrench; landmarks relax along their
     innovations.
     """
-    r, p, lm, b = _kernels.basic_sample(
-        np.ascontiguousarray(fs.pose.rotation),
-        np.ascontiguousarray(fs.pose.position),
-        np.ascontiguousarray(fs.landmarks),
-        fs.bias.vector(),
-        np.ascontiguousarray(m.y),
-        np.ascontiguousarray(m.u_m.omega),
-        np.ascontiguousarray(m.u_m.v),
-        gains.k_w, gains.k_1, gains.gamma,
-        1.0 / gains.alpha,
-        dt, substeps,
+    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+    return unpack_state(run_sample(_kernels.basic_sample, x, basic_params(m, gains),
+                                   dt, substeps, "feature-only observer"))
+
+
+def basic_params(m: MeasurementBundle, gains: BasicGains) -> tuple:
+    """Per-interval parameters of ``_kernels._basic_rates``."""
+    to_kernel = _kernels.to_kernel
+    return (
+        to_kernel(m.y), to_kernel(m.u_m.omega), to_kernel(m.u_m.v),
+        float(gains.k_w), float(gains.k_1), to_kernel(gains.gamma),
+        to_kernel(1.0 / gains.alpha),
     )
-    if not (np.isfinite(r).all() and np.isfinite(p).all()
-            and np.isfinite(lm).all() and np.isfinite(b).all()):
-        raise FilterDivergence("feature-only observer produced a non-finite state")
-    return FilterState(Pose(r, p), lm, Twist(b[:3], b[3:]))

@@ -20,15 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .filter_basic import FilterDivergence, FilterState, innovation_errors
-from .liegroup import Pose, Twist
+from ._kernels import _PI_COND_LIMIT, TAU_FLOOR
+from .filter_basic import FilterState, pack_state, run_sample, unpack_state
+from .liegroup import Twist
 from .worldsim import MeasurementBundle
-
-# Floor for the attitude gain divisor: keeps the correction finite on the
-# antipodal set where lambda_min * (1 + pi) -> 0.
-TAU_FLOOR = 1e-6
-# Condition-number guard for the pi estimate's matrix inversion.
-_PI_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -221,24 +216,21 @@ def imu_step(fs: FilterState, m: MeasurementBundle, kernel: AttitudeKernel,
     terms that the Lyapunov candidate pairs it with.
     """
     scale = 1.0 if simplified_form else float(fs.landmarks.shape[0])
-    r, p, lm, b = _kernels.imu_sample(
-        np.ascontiguousarray(fs.pose.rotation),
-        np.ascontiguousarray(fs.pose.position),
-        np.ascontiguousarray(fs.landmarks),
-        fs.bias.vector(),
-        np.ascontiguousarray(m.y),
-        np.ascontiguousarray(m.imu_ref),
-        np.ascontiguousarray(m.imu_body),
-        kernel.weights,
-        kernel.lambda_min,
-        np.ascontiguousarray(m.u_m.omega),
-        np.ascontiguousarray(m.u_m.v),
-        gains.k_w, gains.k_1, gains.k_2,
-        gains.gamma_1, gains.gamma_2,
-        1.0 / gains.alpha,
-        scale, dt, substeps,
+    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+    return unpack_state(run_sample(_kernels.imu_sample, x,
+                                   imu_params(m, kernel, gains, scale), dt, substeps,
+                                   "IMU-aided observer"))
+
+
+def imu_params(m: MeasurementBundle, kernel: AttitudeKernel, gains: ImuGains,
+               scale: float) -> tuple:
+    """Per-interval parameters of ``_kernels._imu_rates``/``_quat_rates``."""
+    to_kernel = _kernels.to_kernel
+    return (
+        to_kernel(m.y), to_kernel(m.imu_ref), to_kernel(m.imu_body),
+        to_kernel(kernel.weights), float(kernel.lambda_min),
+        to_kernel(m.u_m.omega), to_kernel(m.u_m.v),
+        float(gains.k_w), float(gains.k_1), float(gains.k_2),
+        to_kernel(gains.gamma_1), to_kernel(gains.gamma_2),
+        to_kernel(1.0 / gains.alpha), scale,
     )
-    if not (np.isfinite(r).all() and np.isfinite(p).all()
-            and np.isfinite(lm).all() and np.isfinite(b).all()):
-        raise FilterDivergence("IMU-aided observer produced a non-finite state")
-    return FilterState(Pose(r, p), lm, Twist(b[:3], b[3:]))

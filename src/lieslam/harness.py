@@ -209,12 +209,26 @@ class FilterRunResult:
 
     name: str
     sample_ks: np.ndarray            # (S,) sampled step indices
-    states: list[FilterState]        # estimator state at each sample
+    rotations: np.ndarray            # (S, 3, 3) estimator state at each sample
+    positions: np.ndarray            # (S, 3)
+    landmarks: np.ndarray            # (S, n, 3)
+    biases: np.ndarray               # (S, 6) angular then linear
     reports: list[ErrorReport]
     lyap_steps: np.ndarray | None    # (K+1,) candidate at every step, if recorded
     rot_traj: np.ndarray | None      # (K+1, 3, 3) estimated attitude, if recorded
     pos_traj: np.ndarray | None      # (K+1, 3)
     wall_time: float
+
+    @property
+    def states(self) -> list[FilterState]:
+        """Estimator state at each sample, built on access.
+
+        The samples are kept as stacked arrays rather than as state
+        objects, which a caller would otherwise pay to free one by one.
+        """
+        return [FilterState(Pose(r, p), lm, Twist(b[:3], b[3:]))
+                for r, p, lm, b in zip(self.rotations, self.positions,
+                                       self.landmarks, self.biases)]
 
 
 def _initial_filter_state(rc: RunConfig) -> FilterState:
@@ -264,7 +278,11 @@ def run_filter(
         )
 
     sample_ks: list[int] = []
-    states: list[FilterState] = []
+    n_samples = k_steps // stride + 1
+    sample_rot = np.empty((n_samples, 3, 3))
+    sample_pos = np.empty((n_samples, 3))
+    sample_lm = np.empty((n_samples,) + fs.landmarks.shape)
+    sample_bias = np.empty((n_samples, 6))
     reports: list[ErrorReport] = []
     lyap_steps = np.empty(k_steps + 1) if record_lyap else None
     rot_traj = np.empty((k_steps + 1, 3, 3)) if record_trajectory else None
@@ -298,8 +316,13 @@ def run_filter(
         if record_lyap:
             lyap_steps[k] = lyap_value(state, k)
         if k % stride == 0:
+            s = len(sample_ks)
             sample_ks.append(k)
-            states.append(state)
+            sample_rot[s] = state.pose.rotation
+            sample_pos[s] = state.pose.position
+            sample_lm[s] = state.landmarks
+            sample_bias[s, :3] = state.bias.omega
+            sample_bias[s, 3:] = state.bias.v
             reports.append(
                 evaluate(
                     trace.true_state(k), state, bias_true,
@@ -324,7 +347,10 @@ def run_filter(
     return FilterRunResult(
         name=name,
         sample_ks=np.asarray(sample_ks),
-        states=states,
+        rotations=sample_rot,
+        positions=sample_pos,
+        landmarks=sample_lm,
+        biases=sample_bias,
         reports=reports,
         lyap_steps=lyap_steps,
         rot_traj=rot_traj,
@@ -354,17 +380,15 @@ def truth_csv_text(trace: WorldTrace, stride: int) -> str:
 
 
 def estimate_csv_text(result: FilterRunResult, times: np.ndarray) -> str:
-    n = result.states[0].landmarks.shape[0]
+    n = result.landmarks.shape[1]
     cols = ["t", "P_x", "P_y", "P_z"]
     cols += [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
     for i in range(n):
         cols += [f"p_{i + 1}_{ax}" for ax in ("x", "y", "z")]
     lines = [",".join(cols)]
-    for k, state in zip(result.sample_ks, result.states):
-        row = np.concatenate([
-            [times[k]], state.pose.position, state.pose.rotation.ravel(),
-            state.landmarks.ravel(),
-        ])
+    for k, r, p, lm in zip(result.sample_ks, result.rotations, result.positions,
+                           result.landmarks):
+        row = np.concatenate([[times[k]], p, r.ravel(), lm.ravel()])
         lines.append(_fmt(row))
     return "\n".join(lines) + "\n"
 

@@ -16,8 +16,6 @@ import numpy as np
 
 # Antisymmetry slack tolerated by vex(); anything dirtier is a caller bug.
 _VEX_SYMMETRY_TOL = 1e-6
-# Orthonormality drift that triggers a Gram-Schmidt repair after integration.
-_ROTATION_DRIFT_TOL = 1e-9
 # Below this rotation angle the closed Rodrigues coefficients are replaced
 # by their second-order series to avoid 0/0.
 _SMALL_ANGLE = 1e-6
@@ -207,13 +205,6 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
     r[1] /= np.linalg.norm(r[1])
     r[2] -= (r[2] @ r[0]) * r[0] + (r[2] @ r[1]) * r[1]
     r[2] /= np.linalg.norm(r[2])
-    return r
-
-
-def renormalize_rotation(r: np.ndarray, tol: float = _ROTATION_DRIFT_TOL) -> np.ndarray:
-    """Repair integration drift: re-orthonormalize only when needed."""
-    if np.linalg.norm(r.T @ r - np.eye(3)) > tol:
-        return orthonormalize(r)
     return r
 
 

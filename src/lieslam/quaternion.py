@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .filter_basic import FilterDivergence
+from .filter_basic import pack_state, run_sample, split_state
 from .filter_imu import (
     DEFAULT_SUBSTEPS,
     AttitudeKernel,
     ImuGains,
     attitude_gain_divisor,
+    imu_params,
     pi_from_products,
 )
 from .liegroup import Twist, skew
@@ -227,26 +228,9 @@ def quat_imu_step(
     filter the trajectories agree to integrator precision, which is the
     cross-check this module exists for.
     """
-    n = fs.landmarks.shape[0]
-    scale = float(n) if not simplified_form else 1.0
-    q, p, lm, b = _kernels.quat_sample(
-        np.ascontiguousarray(fs.q),
-        np.ascontiguousarray(fs.position),
-        np.ascontiguousarray(fs.landmarks),
-        fs.bias.vector(),
-        np.ascontiguousarray(m.y),
-        np.ascontiguousarray(m.imu_ref),
-        np.ascontiguousarray(m.imu_body),
-        kernel.weights,
-        kernel.lambda_min,
-        np.ascontiguousarray(m.u_m.omega),
-        np.ascontiguousarray(m.u_m.v),
-        gains.k_w, gains.k_1, gains.k_2,
-        gains.gamma_1, gains.gamma_2,
-        1.0 / gains.alpha,
-        scale, dt, substeps,
-    )
-    if not (np.isfinite(q).all() and np.isfinite(p).all()
-            and np.isfinite(lm).all() and np.isfinite(b).all()):
-        raise FilterDivergence("quaternion observer produced a non-finite state")
-    return QuatFilterState(q, p, lm, Twist(b[:3], b[3:]))
+    scale = float(fs.landmarks.shape[0]) if not simplified_form else 1.0
+    x = pack_state(fs.q, fs.position, fs.bias, fs.landmarks)
+    out = run_sample(_kernels.quat_sample, x, imu_params(m, kernel, gains, scale),
+                     dt, substeps, "quaternion observer")
+    q, p, b_omega, b_v, lm = split_state(out, 4)
+    return QuatFilterState(q, p, lm, Twist(b_omega, b_v))

@@ -343,15 +343,17 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
     else:
         noise = rng.standard_normal((k_steps, 6))
         feat_noise = np.zeros((k_steps, 1, 3))
+    to_kernel = _kernels.to_kernel
     _kernels.world_trace(
-        cfg.init_rotation, cfg.init_position,
-        np.ascontiguousarray(cfg.landmarks), refs,
-        cfg.omega_true.const, cfg.omega_true.slope,
-        cfg.v_true.const, cfg.v_true.slope,
-        cfg.bias_omega, cfg.bias_v,
-        cfg.noise_std_omega, cfg.noise_std_v, cfg.feature_noise_std,
-        np.ascontiguousarray(noise[:, :6]), feat_noise, cfg.dt, k_steps,
-        rotations, positions, u_m, y, imu_body, mid_rotations, mid_positions,
+        to_kernel(cfg.init_rotation.ravel()), to_kernel(cfg.init_position),
+        to_kernel(cfg.landmarks), to_kernel(refs),
+        to_kernel(cfg.omega_true.const), to_kernel(cfg.omega_true.slope),
+        to_kernel(cfg.v_true.const), to_kernel(cfg.v_true.slope),
+        to_kernel(cfg.bias_omega), to_kernel(cfg.bias_v),
+        float(cfg.noise_std_omega), float(cfg.noise_std_v), float(cfg.feature_noise_std),
+        np.ascontiguousarray(noise[:, :6]), feat_noise, float(cfg.dt), k_steps,
+        rotations.reshape(k_steps + 1, 9), positions, u_m, y.reshape(k_steps, 3 * n),
+        imu_body.reshape(k_steps, 3 * m), mid_rotations.reshape(k_steps, 9), mid_positions,
     )
 
     return WorldTrace(

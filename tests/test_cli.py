@@ -69,6 +69,7 @@ def test_run_rejects_bad_runs_count(tmp_path, capsys):
     assert "--runs" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_divergence_exit_code(tmp_path, capsys, warmed_up):
     doc = {
         "world": small_world_dict(duration=0.05, noise_std_omega=0.0, noise_std_v=0.0),

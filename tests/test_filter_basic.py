@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from _support import random_rotation
+from lieslam import _kernels
 from lieslam.filter_basic import (
     BasicGains,
     FilterDivergence,
     FilterState,
     basic_correction,
+    basic_params,
     basic_step,
     innovation_errors,
+    pack_state,
 )
 from lieslam.liegroup import Pose, Twist, adjoint_aug, se3_exp
 from lieslam.worldsim import MeasurementBundle
@@ -254,11 +257,28 @@ def test_step_rotation_stays_orthonormal():
     assert np.abs(r.T @ r - np.eye(3)).max() < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_divergence_raises():
     rng = np.random.default_rng(59)
     fs = _random_state(rng)
     with pytest.raises(FilterDivergence):
         basic_step(fs, _bundle(np.full((4, 3), np.nan)), _gains(4), 0.001)
+
+
+@pytest.mark.skipif(_kernels.JIT, reason="only Python floats raise on a finite overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale,error", ((1e160, OverflowError), (0.0, ZeroDivisionError)))
+def test_step_float_exceptions_raise_divergence(scale, error):
+    """A 1e160 attitude keeps every product finite but overflows its
+    square in the Gram-Schmidt repair; a zero attitude divides by a zero
+    row norm there.  The kernel raises, the step reports divergence."""
+    fs = FilterState(Pose(scale * np.eye(3), np.zeros(3)), np.zeros((4, 3)), Twist.zero())
+    m = _bundle(np.zeros((4, 3)), u=Twist(np.array([0.1, 0.2, 0.3]), np.zeros(3)))
+    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+    with pytest.raises(error):
+        _kernels.basic_sample(x, basic_params(m, _gains(4)), 0.001, 2)
+    with pytest.raises(FilterDivergence, match="non-finite"):
+        basic_step(fs, m, _gains(4), 0.001)
 
 
 # ----------------------------------------------------- full-run behaviour

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from _support import random_ref_triad, random_rotation
-from lieslam.filter_basic import FilterDivergence, FilterState, innovation_errors
+from lieslam import _kernels
+from lieslam.filter_basic import FilterDivergence, FilterState, innovation_errors, pack_state
 from lieslam.filter_imu import (
     TAU_FLOOR,
     ImuGains,
     attitude_gain_divisor,
     build_kernel,
     imu_correction,
+    imu_params,
     imu_step,
     pi_from_products,
     pi_meas,
@@ -360,12 +362,31 @@ def test_step_pose_follows_corrected_twist():
     assert np.abs(out.pose.position - expected.position).max() < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_divergence_raises():
     rng = np.random.default_rng(72)
     fs = _random_state(rng)
     kernel = build_kernel(BENCH_REFS, np.ones(3))
     m = _bundle(np.full((4, 3), np.inf), BENCH_REFS, BENCH_REFS @ fs.pose.rotation)
     with pytest.raises(FilterDivergence):
+        imu_step(fs, m, kernel, _gains(4), 0.001)
+
+
+@pytest.mark.skipif(_kernels.JIT, reason="only Python floats raise on a finite overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale,error", ((1e160, OverflowError), (0.0, ZeroDivisionError)))
+def test_step_float_exceptions_raise_divergence(scale, error):
+    """A 1e160 attitude at rest keeps every product finite (its axis
+    directions stay exactly parallel to the sensed ones) but overflows its square in the
+    Gram-Schmidt repair; a zero attitude divides by a zero row norm.
+    The kernel raises, the step reports divergence."""
+    fs = FilterState(Pose(scale * np.eye(3), np.zeros(3)), np.zeros((4, 3)), Twist.zero())
+    kernel = build_kernel(np.eye(3), np.ones(3))
+    m = _bundle(np.zeros((4, 3)), np.eye(3), np.eye(3))
+    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+    with pytest.raises(error):
+        _kernels.imu_sample(x, imu_params(m, kernel, _gains(4), 4.0), 0.001, 1)
+    with pytest.raises(FilterDivergence, match="non-finite"):
         imu_step(fs, m, kernel, _gains(4), 0.001)
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from _support import random_ref_triad, random_rotation
-from lieslam.filter_basic import FilterDivergence, FilterState, innovation_errors
-from lieslam.filter_imu import ImuGains, build_kernel, imu_correction, imu_step
+from lieslam import _kernels
+from lieslam.filter_basic import FilterDivergence, FilterState, innovation_errors, pack_state
+from lieslam.filter_imu import ImuGains, build_kernel, imu_correction, imu_params, imu_step
 from lieslam.liegroup import Pose, Twist, skew, so3_exp
 from lieslam.quaternion import (
     QuatFilterState,
@@ -238,6 +239,7 @@ def test_step_matches_matrix_filter_over_many_intervals():
     assert abs(np.linalg.norm(qs.q) - 1.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quat_step_divergence_raises():
     rng = np.random.default_rng(46)
     fs, kernel, m = _quat_setup(rng)
@@ -249,4 +251,27 @@ def test_quat_step_divergence_raises():
         imu_ref=m.imu_ref, imu_body=m.imu_body, t=0.0,
     )
     with pytest.raises(FilterDivergence):
+        quat_imu_step(qs, bad, kernel, _imu_gains(4), 0.001)
+
+
+@pytest.mark.skipif(_kernels.JIT, reason="only Python floats raise on a finite overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale,error", ((1e160, OverflowError), (0.0, ZeroDivisionError)))
+def test_quat_step_float_exceptions_raise_divergence(scale, error):
+    """A 1e160 quaternion with zero vector part and zero angular rate
+    stays put and keeps every product finite, but its squared norm
+    overflows in the renormalization; a zero quaternion divides by a zero norm there.
+    The kernel raises, the step reports divergence."""
+    rng = np.random.default_rng(47)
+    fs, kernel, m = _quat_setup(rng)
+    qs = QuatFilterState(np.array([scale, 0.0, 0.0, 0.0]), np.zeros(3),
+                         np.zeros((4, 3)), Twist.zero())
+    bad = MeasurementBundle(
+        u_m=Twist.zero(), y=np.zeros((4, 3)),
+        imu_ref=m.imu_ref, imu_body=m.imu_ref, t=0.0,
+    )
+    x = pack_state(qs.q, qs.position, qs.bias, qs.landmarks)
+    with pytest.raises(error):
+        _kernels.quat_sample(x, imu_params(bad, kernel, _imu_gains(4), 4.0), 0.001, 1)
+    with pytest.raises(FilterDivergence, match="non-finite"):
         quat_imu_step(qs, bad, kernel, _imu_gains(4), 0.001)
