@@ -3,65 +3,8 @@
 Two nonlinear estimators over simulated rigid-body scenarios: a
 feature-only observer and an IMU-aided one (also available in a
 quaternion build), plus the world simulator, error metrics and a CLI
-harness that reproduces the reference scenarios.
+harness that reproduces the reference scenarios.  Import from the
+submodules, e.g. ``lieslam.harness`` or ``lieslam.filter_imu``.
 """
-
-from .filter_basic import (
-    BasicGains,
-    FilterDivergence,
-    FilterState,
-    basic_correction,
-    basic_step,
-    innovation_errors,
-)
-from .filter_imu import (
-    AttitudeKernel,
-    ImuGains,
-    attitude_gain_divisor,
-    build_kernel,
-    imu_correction,
-    imu_step,
-    pi_meas,
-    upsilon_meas,
-)
-from .liegroup import (
-    Pose,
-    SlamState,
-    Twist,
-    adjoint_aug,
-    antisym_project,
-    orthonormalize,
-    se3_exp,
-    skew,
-    so3_distance,
-    so3_exp,
-    so3_left_jacobian,
-    upsilon,
-    vex,
-    wedge,
-)
-from .metrics import ErrorReport, evaluate, lyapunov_basic, lyapunov_imu
-from .quaternion import (
-    QuatFilterState,
-    quat_imu_step,
-    quat_kinematics_step,
-    quat_omega,
-    quat_product,
-    quat_to_rot,
-    rot_to_quat,
-    rotate_by_quat,
-)
-from .worldsim import (
-    ConfigError,
-    MeasurementBundle,
-    TrueState,
-    WorldConfig,
-    augmented_refs,
-    propagate_true,
-    sample_features,
-    sample_imu,
-    sample_velocity,
-    simulate_world,
-)
 
 __version__ = "0.1.0"

@@ -136,7 +136,9 @@ def _renormalize(x):
 
 @njit(cache=True)
 def _gain_divisor(a, b, lam_min):
-    """lambda_min * (1 + tr(a b^-1)), floored as in attitude_gain_divisor.
+    """lambda_min * (1 + tr(a b^-1)), floored at TAU_FLOOR on the
+    antipodal set and when b is singular or ill-conditioned (numpy
+    reference: ``attitude_gain_divisor`` in ``tests/_support.py``).
 
     ``a`` and ``b`` are 3x3 matrices as row-major 9-tuples.
     """
@@ -592,12 +594,13 @@ def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
                 rotations, positions, u_m, y, imu_body, mid_rot, mid_pos):
     """Fill a full ground-truth trace plus midpoint-sampled measurements.
 
-    Per interval, exactly what the single-step samplers in worldsim
-    produce: measured twist from the interval-midpoint truth plus bias
-    and scaled noise, features/directions from the midpoint pose, truth
-    advanced by the midpoint twist.  Noise comes pre-drawn so the caller
-    owns the RNG.  ``r0`` is the initial rotation as a row-major
-    9-sequence, ``lm`` and ``refs`` go row by row; the outputs are
+    Per interval, exactly what the single-step reference samplers in
+    ``tests/_support.py`` produce: measured twist from the
+    interval-midpoint truth plus bias and scaled noise,
+    features/directions from the midpoint pose, truth advanced by the
+    midpoint twist.  Noise comes pre-drawn so the caller owns the RNG.
+    ``r0`` is the initial rotation as a row-major 9-sequence, ``lm``
+    and ``refs`` go row by row; the outputs are
     arrays with one row per step, rotations flattened to 9 columns,
     features and directions to 3n and 3m.
     """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .liegroup import Pose, Twist, adjoint_aug
+from .liegroup import Pose, Twist
 from .worldsim import MeasurementBundle
 
 
@@ -32,10 +32,6 @@ class FilterState:
     pose: Pose
     landmarks: np.ndarray  # (n, 3)
     bias: Twist
-
-    @property
-    def n_landmarks(self) -> int:
-        return self.landmarks.shape[0]
 
 
 @dataclass(frozen=True)
@@ -55,39 +51,12 @@ class BasicGains:
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        if self.k_w <= 0 or self.k_1 <= 0:
+        if not (self.k_w > 0 and self.k_1 > 0):
             raise ValueError("k_w and k_1 must be positive")
-        if self.gamma.shape != (6,) or (self.gamma <= 0).any():
+        if self.gamma.shape != (6,) or not (self.gamma > 0).all():
             raise ValueError("gamma must be 6 positive diagonal entries")
-        if self.alpha.ndim != 1 or (self.alpha <= 0).any():
+        if self.alpha.ndim != 1 or not (self.alpha > 0).all():
             raise ValueError("alpha must be positive, one entry per landmark")
-
-
-def innovation_errors(fs: FilterState, y: np.ndarray) -> np.ndarray:
-    """Landmark innovations e_i = p-hat_i - R-hat y_i - P-hat, stacked (n, 3)."""
-    r = fs.pose.rotation
-    return fs.landmarks - np.asarray(y, dtype=float) @ r.T - fs.pose.position
-
-
-def _innovation_wrench(fs: FilterState, e: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted 6-D stack [sum w_i g_i x e_i ; sum w_i e_i].
-
-    g_i = R-hat y_i + P-hat is recovered as p-hat_i - e_i, so no
-    measurement is needed here.
-    """
-    g = fs.landmarks - e
-    w = weights[:, None]
-    return np.concatenate([
-        (w * np.cross(g, e)).sum(axis=0),
-        (w * e).sum(axis=0),
-    ])
-
-
-def basic_correction(fs: FilterState, e: np.ndarray, gains: BasicGains) -> Twist:
-    """Pose correction: -k_w Ad(T-hat^-1) applied to the innovation wrench."""
-    z = _innovation_wrench(fs, e, np.ones(e.shape[0]))
-    w = -gains.k_w * (adjoint_aug(fs.pose.inverse()) @ z)
-    return Twist(w[:3], w[3:])
 
 
 # The pose correction's feedback through the lever arms g_i = R-hat y_i

@@ -14,15 +14,12 @@ exactly monotone under matching Lyapunov candidates (see metrics).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import _PI_COND_LIMIT, TAU_FLOOR
 from .filter_basic import FilterState, pack_state, run_sample, unpack_state
-from .liegroup import Twist
 from .worldsim import MeasurementBundle
 
 
@@ -46,13 +43,13 @@ class ImuGains:
         object.__setattr__(self, "gamma_1", np.asarray(self.gamma_1, dtype=float))
         object.__setattr__(self, "gamma_2", np.asarray(self.gamma_2, dtype=float))
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        if self.k_w <= 0 or self.k_1 <= 0 or self.k_2 <= 0:
+        if not (self.k_w > 0 and self.k_1 > 0 and self.k_2 > 0):
             raise ValueError("k_w, k_1, k_2 must be positive")
         for name in ("gamma_1", "gamma_2"):
             g = getattr(self, name)
-            if g.shape != (3,) or (g <= 0).any():
+            if g.shape != (3,) or not (g > 0).all():
                 raise ValueError(f"{name} must be 3 positive diagonal entries")
-        if self.alpha.ndim != 1 or (self.alpha <= 0).any():
+        if self.alpha.ndim != 1 or not (self.alpha > 0).all():
             raise ValueError("alpha must be positive, one entry per landmark")
 
 
@@ -102,92 +99,6 @@ def build_kernel(refs: np.ndarray, weights: np.ndarray) -> AttitudeKernel:
         lambda_min=float(np.linalg.eigvalsh(breve)[0]),
         weights=weights,
     )
-
-
-def upsilon_meas(rotation: np.ndarray, refs: np.ndarray, bodies: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-    """Attitude innovation from direction pairs, in the inertial frame.
-
-    Equals vex of the antisymmetric part of (R-hat R^T) M when the body
-    rows are noise-free transports of the references.
-    """
-    v_hat = np.asarray(refs, dtype=float) @ rotation  # rows R-hat^T ref_j
-    half = 0.5 * (np.asarray(weights, dtype=float)[:, None]
-                  * np.cross(v_hat, bodies)).sum(axis=0)
-    return rotation @ half
-
-
-def pi_from_products(a_mat: np.ndarray, b_mat: np.ndarray) -> float:
-    """tr(a_mat @ b_mat^-1), or NaN when b_mat is too ill-conditioned."""
-    try:
-        b_inv = np.linalg.inv(b_mat)
-    except np.linalg.LinAlgError:
-        return float("nan")
-    if np.linalg.norm(b_mat) * np.linalg.norm(b_inv) >= _PI_COND_LIMIT:
-        return float("nan")
-    return float(np.trace(a_mat @ b_inv))
-
-
-def pi_meas(rotation: np.ndarray, refs: np.ndarray, bodies: np.ndarray,
-            weights: np.ndarray) -> float:
-    """Trace alignment estimate; equals tr(R-hat R^T) with clean pairs.
-
-    Returns NaN when the measured outer-product matrix is near-singular
-    (condition number >= 1e8); callers clamp the gain divisor instead.
-    """
-    refs = np.asarray(refs, dtype=float)
-    bodies = np.asarray(bodies, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    v_hat = refs @ rotation
-    a_mat = (weights[:, None, None] * (bodies[:, :, None] * refs[:, None, :])).sum(axis=0)
-    b_mat = (weights[:, None, None] * (v_hat[:, :, None] * refs[:, None, :])).sum(axis=0)
-    return pi_from_products(a_mat, b_mat)
-
-
-def attitude_gain_divisor(kernel: AttitudeKernel, pi: float) -> float:
-    """tau = lambda_min(breve) * (1 + pi), floored at 1e-6.
-
-    The floor engages on the antipodal attitude set (pi -> -1) and when
-    pi is flagged NaN by the conditioning guard.
-    """
-    tau = kernel.lambda_min * (1.0 + pi)
-    if not np.isfinite(tau) or tau < TAU_FLOOR:
-        warnings.warn(
-            "attitude gain divisor clamped to its floor; estimate is near "
-            "the antipodal set or the direction matrix is ill-conditioned",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return TAU_FLOOR
-    return float(tau)
-
-
-def _attitude_terms(rotation: np.ndarray, m: MeasurementBundle,
-                    kernel: AttitudeKernel) -> tuple[np.ndarray, float]:
-    """Body-frame half innovation sum_j (s_j/2) v_hat_j x v_j, and tau."""
-    v_hat = m.imu_ref @ rotation
-    w = kernel.weights[:, None]
-    half = 0.5 * (w * np.cross(v_hat, m.imu_body)).sum(axis=0)
-    a_mat = (kernel.weights[:, None, None]
-             * (m.imu_body[:, :, None] * m.imu_ref[:, None, :])).sum(axis=0)
-    b_mat = (kernel.weights[:, None, None]
-             * (v_hat[:, :, None] * m.imu_ref[:, None, :])).sum(axis=0)
-    tau = attitude_gain_divisor(kernel, pi_from_products(a_mat, b_mat))
-    return half, tau
-
-
-def imu_correction(fs: FilterState, m: MeasurementBundle, e: np.ndarray,
-                   kernel: AttitudeKernel, gains: ImuGains,
-                   simplified_form: bool = False) -> Twist:
-    """Pose correction: direction-driven attitude part, innovation-driven
-    translation part."""
-    r = fs.pose.rotation
-    half, tau = _attitude_terms(r, m, kernel)
-    scale = 1.0 if simplified_form else float(e.shape[0])
-    w_omega = scale * (gains.k_w / tau) * half
-    e_body = e @ r
-    w_v = -gains.k_2 * ((1.0 / gains.alpha)[:, None] * e_body).sum(axis=0)
-    return Twist(w_omega, w_v)
 
 
 # One fourth-order stage per 1 ms interval keeps the fastest error mode

@@ -12,17 +12,25 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import metrics
 from .filter_basic import BasicGains, FilterDivergence, FilterState, basic_step
 from .filter_imu import AttitudeKernel, ImuGains, build_kernel, imu_step
 from .liegroup import Pose, Twist, orthonormalize, rotation_defect
-from .metrics import ErrorReport, evaluate, report_header, report_row
-from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
-from .worldsim import ConfigError, WorldConfig, WorldTrace, simulate_world
+from .metrics import ErrorReport, error_state, evaluate, report_header, report_row
+from .quaternion import QuatFilterState, quat_imu_step
+from .worldsim import (
+    ConfigError,
+    WorldConfig,
+    WorldTrace,
+    floats,
+    integer,
+    scalar,
+    simulate_world,
+)
 
 FILTER_CHOICES = ("basic", "imu", "imu_quat", "both")
 # Accepting a printed-to-few-digits rotation and repairing it is fine;
@@ -46,6 +54,17 @@ class RunConfig:
     sample_stride: int
     simplified_form: bool
 
+    def __post_init__(self):
+        # dataclasses.replace re-runs this, so overrides are checked too
+        if self.filter_kind not in FILTER_CHOICES:
+            raise ConfigError(
+                f"filter: {self.filter_kind!r} is not one of {list(FILTER_CHOICES)}"
+            )
+        for name in self.filters():
+            block = "basic" if name == "basic" else "imu"
+            if getattr(self, f"gains_{block}") is None:
+                raise ConfigError(f"gains.{block}: required for the selected filter")
+
     def filters(self) -> list[str]:
         if self.filter_kind == "both":
             return ["basic", "imu"]
@@ -53,7 +72,7 @@ class RunConfig:
 
 
 def _broadcast(raw, length: int, key: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    arr = floats(raw, key)
     if arr.ndim == 0:
         return np.full(length, float(arr))
     if arr.shape != (length,):
@@ -61,34 +80,29 @@ def _broadcast(raw, length: int, key: str) -> np.ndarray:
     return arr
 
 
-def _parse_gains_basic(raw: dict, n: int) -> BasicGains:
-    try:
-        return BasicGains(
-            k_w=float(raw["k_w"]),
-            k_1=float(raw["k_1"]),
-            gamma=_broadcast(raw.get("gamma", 1.0), 6, "gains.basic.gamma"),
-            alpha=_broadcast(raw.get("alpha", 1.0), n, "gains.basic.alpha"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"gains.basic.{exc.args[0]}: required") from None
-    except ValueError as exc:
-        raise ConfigError(f"gains.basic: {exc}") from None
+# gains block -> (gains class, scalar gains, diagonal gains and their sizes)
+_GAINS = {
+    "basic": (BasicGains, ("k_w", "k_1"), {"gamma": 6}),
+    "imu": (ImuGains, ("k_w", "k_1", "k_2"), {"gamma_1": 3, "gamma_2": 3}),
+}
 
 
-def _parse_gains_imu(raw: dict, n: int) -> ImuGains:
+def _parse_gains(block: str, raw, n: int) -> BasicGains | ImuGains:
+    cls, scalars, diagonals = _GAINS[block]
+    key = f"gains.{block}"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key}: expected an object")
+    for name in scalars:
+        if name not in raw:
+            raise ConfigError(f"{key}.{name}: required")
+    kwargs = {name: scalar(raw[name], f"{key}.{name}") for name in scalars}
+    for name, size in diagonals.items():
+        kwargs[name] = _broadcast(raw.get(name, 1.0), size, f"{key}.{name}")
+    kwargs["alpha"] = _broadcast(raw.get("alpha", 1.0), n, f"{key}.alpha")
     try:
-        return ImuGains(
-            k_w=float(raw["k_w"]),
-            k_1=float(raw["k_1"]),
-            k_2=float(raw["k_2"]),
-            gamma_1=_broadcast(raw.get("gamma_1", 1.0), 3, "gains.imu.gamma_1"),
-            gamma_2=_broadcast(raw.get("gamma_2", 1.0), 3, "gains.imu.gamma_2"),
-            alpha=_broadcast(raw.get("alpha", 1.0), n, "gains.imu.alpha"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"gains.imu.{exc.args[0]}: required") from None
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"gains.imu: {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def parse_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
@@ -106,31 +120,16 @@ def parse_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     world = WorldConfig.from_dict(raw["world"])
     n = world.n_landmarks
 
-    filter_kind = raw.get("filter", "both")
-    if filter_kind not in FILTER_CHOICES:
-        raise ConfigError(
-            f"filter: {filter_kind!r} is not one of {list(FILTER_CHOICES)}"
-        )
-
     gains_raw = raw.get("gains", {})
     if not isinstance(gains_raw, dict):
         raise ConfigError("gains: expected an object")
-    needs_basic = filter_kind in ("basic", "both")
-    needs_imu = filter_kind in ("imu", "imu_quat", "both")
-    gains_basic = gains_imu = None
-    if needs_basic:
-        if "basic" not in gains_raw:
-            raise ConfigError("gains.basic: required for the selected filter")
-        gains_basic = _parse_gains_basic(gains_raw["basic"], n)
-    if needs_imu:
-        if "imu" not in gains_raw:
-            raise ConfigError("gains.imu: required for the selected filter")
-        gains_imu = _parse_gains_imu(gains_raw["imu"], n)
+    gains = {block: _parse_gains(block, gains_raw[block], n)
+             for block in _GAINS if block in gains_raw}
 
     init_raw = raw.get("init", {})
     if not isinstance(init_raw, dict):
         raise ConfigError("init: expected an object")
-    rot = np.asarray(init_raw.get("rotation", np.eye(3).ravel()), dtype=float)
+    rot = floats(init_raw.get("rotation", np.eye(3).ravel()), "init.rotation")
     if rot.size != 9:
         raise ConfigError("init.rotation: expected 9 scalars (row-major)")
     rot = rot.reshape(3, 3)
@@ -138,38 +137,43 @@ def parse_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("init.rotation: not close to a rotation matrix")
     rot = orthonormalize(rot)
 
-    position = np.asarray(init_raw.get("position", np.zeros(3)), dtype=float)
+    position = floats(init_raw.get("position", np.zeros(3)), "init.position")
     if position.shape != (3,):
         raise ConfigError("init.position: expected 3 numbers")
 
-    landmarks = np.asarray(init_raw.get("landmarks", np.zeros((n, 3))), dtype=float)
+    landmarks = floats(init_raw.get("landmarks", np.zeros((n, 3))), "init.landmarks")
     if landmarks.shape != (n, 3):
         raise ConfigError(f"init.landmarks: expected {n} 3-vectors")
 
-    bias = np.asarray(init_raw.get("bias", np.zeros(6)), dtype=float)
+    bias = floats(init_raw.get("bias", np.zeros(6)), "init.bias")
     if bias.shape != (6,):
         raise ConfigError("init.bias: expected 6 numbers (angular then linear)")
 
-    stride = int(raw.get("sample_stride", 1))
-    if stride < 1:
-        raise ConfigError("sample_stride: must be >= 1")
+    stride = integer(raw.get("sample_stride", 1), "sample_stride", 1)
 
-    out_dir = Path(raw.get("output_dir", "out"))
+    simplified = raw.get("simplified_form", False)
+    if not isinstance(simplified, bool):
+        raise ConfigError("simplified_form: expected true or false")
+
+    out_dir = raw.get("output_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError("output_dir: expected a path")
+    out_dir = Path(out_dir)
     if base_dir is not None and not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
     return RunConfig(
         world=world,
-        filter_kind=filter_kind,
-        gains_basic=gains_basic,
-        gains_imu=gains_imu,
+        filter_kind=raw.get("filter", "both"),
+        gains_basic=gains.get("basic"),
+        gains_imu=gains.get("imu"),
         init_rotation=rot,
         init_position=position,
         init_landmarks=landmarks,
         init_bias=bias,
         output_dir=out_dir,
         sample_stride=stride,
-        simplified_form=bool(raw.get("simplified_form", False)),
+        simplified_form=simplified,
     )
 
 
@@ -292,20 +296,10 @@ def run_filter(
         if qs is None:
             return fs
         return FilterState(
-            pose=Pose(quat_to_rot(qs.q), qs.position),
+            pose=Pose(qs.rotation(), qs.position),
             landmarks=qs.landmarks,
             bias=qs.bias,
         )
-
-    def lyap_value(state: FilterState, k: int) -> float:
-        truth = trace.true_state(k)
-        r_tilde = state.pose.rotation @ truth.pose.rotation.T
-        p_tilde = state.pose.position - r_tilde @ truth.pose.position
-        e = state.landmarks - truth.landmarks @ r_tilde.T - p_tilde
-        bias_diff = bias_true.vector() - state.bias.vector()
-        if lyap_kind == "basic":
-            return metrics.lyapunov_basic(e, bias_diff, gains)
-        return metrics.lyapunov_imu(e, r_tilde, bias_diff, gains, kernel, att_mult)
 
     start = time.perf_counter()
     for k in range(k_steps + 1):
@@ -314,7 +308,8 @@ def run_filter(
             rot_traj[k] = state.pose.rotation
             pos_traj[k] = state.pose.position
         if record_lyap:
-            lyap_steps[k] = lyap_value(state, k)
+            lyap_steps[k] = error_state(trace.true_state(k), state, bias_true, lyap_kind,
+                                        gains, kernel, att_mult)[3]
         if k % stride == 0:
             s = len(sample_ks)
             sample_ks.append(k)
@@ -363,34 +358,28 @@ def _fmt(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def truth_csv_text(trace: WorldTrace, stride: int) -> str:
-    n = trace.landmarks.shape[0]
+def _state_csv_text(n_landmarks: int, rows) -> str:
+    """CSV of sampled states; ``rows`` yields (t, position, rotation,
+    landmarks) with the rotation and the landmarks in row-major order."""
     cols = ["t", "P_x", "P_y", "P_z"]
     cols += [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    for i in range(n):
+    for i in range(n_landmarks):
         cols += [f"p_{i + 1}_{ax}" for ax in ("x", "y", "z")]
     lines = [",".join(cols)]
-    flat_lm = trace.landmarks.ravel()
-    for k in range(0, trace.times.shape[0], stride):
-        row = np.concatenate([
-            [trace.times[k]], trace.positions[k], trace.rotations[k].ravel(), flat_lm,
-        ])
-        lines.append(_fmt(row))
+    for t, p, r, lm in rows:
+        lines.append(_fmt(np.concatenate([[t], p, r.ravel(), lm.ravel()])))
     return "\n".join(lines) + "\n"
+
+
+def truth_csv_text(trace: WorldTrace, stride: int) -> str:
+    return _state_csv_text(trace.landmarks.shape[0], zip(
+        trace.times[::stride], trace.positions[::stride], trace.rotations[::stride],
+        repeat(trace.landmarks)))
 
 
 def estimate_csv_text(result: FilterRunResult, times: np.ndarray) -> str:
-    n = result.landmarks.shape[1]
-    cols = ["t", "P_x", "P_y", "P_z"]
-    cols += [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    for i in range(n):
-        cols += [f"p_{i + 1}_{ax}" for ax in ("x", "y", "z")]
-    lines = [",".join(cols)]
-    for k, r, p, lm in zip(result.sample_ks, result.rotations, result.positions,
-                           result.landmarks):
-        row = np.concatenate([[times[k]], p, r.ravel(), lm.ravel()])
-        lines.append(_fmt(row))
-    return "\n".join(lines) + "\n"
+    return _state_csv_text(result.landmarks.shape[1], zip(
+        times[result.sample_ks], result.positions, result.rotations, result.landmarks))
 
 
 def report_csv_text(result: FilterRunResult, n_landmarks: int) -> str:

@@ -59,7 +59,7 @@ def lyapunov_imu(
     return float(quad + att_multiplicity * att + 0.5 * (bias_diff * bias_diff / gamma).sum())
 
 
-def evaluate(
+def error_state(
     true_state: TrueState,
     fs: FilterState,
     bias_true: Twist,
@@ -67,8 +67,10 @@ def evaluate(
     gains: BasicGains | ImuGains | None = None,
     kernel: AttitudeKernel | None = None,
     att_multiplicity: float = 1.0,
-) -> ErrorReport:
-    """Error report of an estimator state against the truth.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Error state of an estimator against the truth: R-tilde, the
+    innovations e (n, 3), the bias difference b - b-hat and the
+    Lyapunov candidate.
 
     The innovation here is reconstructed from ground truth
     (e_i = p-tilde_i - P-tilde with p-tilde_i = p-hat_i - R-tilde p_i,
@@ -84,9 +86,7 @@ def evaluate(
 
     r_tilde = fs.pose.rotation @ true_state.pose.rotation.T
     p_tilde = fs.pose.position - r_tilde @ true_state.pose.position
-    lm_tilde = fs.landmarks - true_state.landmarks @ r_tilde.T
-    e = lm_tilde - p_tilde
-
+    e = fs.landmarks - true_state.landmarks @ r_tilde.T - p_tilde
     bias_diff = bias_true.vector() - fs.bias.vector()
 
     if lyap_kind == "basic":
@@ -101,7 +101,22 @@ def evaluate(
         lyap = float("nan")
     else:
         raise ValueError(f"unknown lyap_kind {lyap_kind!r}")
+    return r_tilde, e, bias_diff, lyap
 
+
+def evaluate(
+    true_state: TrueState,
+    fs: FilterState,
+    bias_true: Twist,
+    lyap_kind: str = "basic",
+    gains: BasicGains | ImuGains | None = None,
+    kernel: AttitudeKernel | None = None,
+    att_multiplicity: float = 1.0,
+) -> ErrorReport:
+    """Error report of an estimator state against the truth (see
+    :func:`error_state` for the arguments)."""
+    r_tilde, e, bias_diff, lyap = error_state(true_state, fs, bias_true, lyap_kind, gains,
+                                              kernel, att_multiplicity)
     return ErrorReport(
         t=true_state.t,
         att_dist=so3_distance(r_tilde),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .liegroup import Pose, SlamState, Twist, se3_exp
+from .liegroup import Pose, SlamState, Twist
 
 # Configured reference directions closer than this angle (radians) cannot
 # span a triad and are rejected at config time.
@@ -31,9 +31,6 @@ class LinearProfile:
     const: np.ndarray
     slope: np.ndarray
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.const + self.slope * t
-
     @classmethod
     def parse(cls, raw, key: str) -> "LinearProfile":
         """Accept either a plain 3-vector or {"const": ..., "slope": ...}."""
@@ -47,8 +44,35 @@ class LinearProfile:
         return cls(_vec3(raw, key), np.zeros(3))
 
 
+def floats(raw, key: str) -> np.ndarray:
+    """The finite numbers of a JSON value, as a float array."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected numbers") from None
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key}: expected finite numbers")
+    return arr
+
+
+def scalar(raw, key: str) -> float:
+    arr = floats(raw, key)
+    if arr.ndim != 0:
+        raise ConfigError(f"{key}: expected a number")
+    return float(arr)
+
+
+def integer(raw, key: str, minimum: int) -> int:
+    """A JSON integer (not a bool, not 2.0) of at least ``minimum``."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{key}: expected an integer")
+    if raw < minimum:
+        raise ConfigError(f"{key}: must be >= {minimum}")
+    return raw
+
+
 def _vec3(raw, key: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    arr = floats(raw, key)
     if arr.shape != (3,):
         raise ConfigError(f"{key}: expected 3 numbers, got shape {arr.shape}")
     return arr
@@ -99,7 +123,7 @@ class WorldConfig:
             if req not in raw:
                 raise ConfigError(f"world.{req}: required")
 
-        landmarks = np.asarray(raw["landmarks"], dtype=float)
+        landmarks = floats(raw["landmarks"], "world.landmarks")
         if landmarks.ndim != 2 or landmarks.shape[1] != 3:
             raise ConfigError("world.landmarks: expected a list of 3-vectors")
         if landmarks.shape[0] < 3:
@@ -107,7 +131,7 @@ class WorldConfig:
                 f"world.landmarks: need at least 3, got {landmarks.shape[0]}"
             )
 
-        imu_refs = np.asarray(raw["imu_refs"], dtype=float)
+        imu_refs = floats(raw["imu_refs"], "world.imu_refs")
         if imu_refs.ndim != 2 or imu_refs.shape[1] != 3:
             raise ConfigError("world.imu_refs: expected a list of 3-vectors")
         if imu_refs.shape[0] < 2:
@@ -115,9 +139,7 @@ class WorldConfig:
         augmented_refs(imu_refs)  # raises ConfigError if collinear
 
         n_dirs = imu_refs.shape[0] + 1
-        weights = np.asarray(
-            raw.get("sensor_weights", np.ones(n_dirs)), dtype=float
-        )
+        weights = floats(raw.get("sensor_weights", np.ones(n_dirs)), "world.sensor_weights")
         if weights.shape != (n_dirs,):
             raise ConfigError(
                 f"world.sensor_weights: expected {n_dirs} weights "
@@ -127,14 +149,22 @@ class WorldConfig:
             raise ConfigError("world.sensor_weights: must be nonnegative, not all zero")
         weights = weights * (3.0 / weights.sum())
 
-        dt = float(raw["dt"])
-        duration = float(raw["duration"])
+        dt = scalar(raw["dt"], "world.dt")
+        duration = scalar(raw["duration"], "world.duration")
         if dt <= 0 or duration <= 0:
             raise ConfigError("world.dt and world.duration must be positive")
+        if not 0.5 < duration / dt < np.inf:
+            raise ConfigError("world.duration: must span at least one world.dt step, "
+                              "and finitely many")
+        noise = {}
+        for name in ("noise_std_omega", "noise_std_v", "feature_noise_std"):
+            noise[name] = scalar(raw.get(name, 0.0), f"world.{name}")
+            if noise[name] < 0:
+                raise ConfigError(f"world.{name}: must be >= 0")
+        rng_seed = integer(raw.get("rng_seed", 0), "world.rng_seed", 0)
 
-        init_rotation = np.asarray(
-            raw.get("init_rotation", np.eye(3).ravel()), dtype=float
-        )
+        init_rotation = floats(raw.get("init_rotation", np.eye(3).ravel()),
+                               "world.init_rotation")
         if init_rotation.size != 9:
             raise ConfigError("world.init_rotation: expected 9 scalars (row-major)")
         init_rotation = init_rotation.reshape(3, 3)
@@ -147,14 +177,12 @@ class WorldConfig:
             v_true=LinearProfile.parse(raw.get("v_true", [0, 0, 0]), "world.v_true"),
             bias_omega=_vec3(raw.get("bias_omega", [0, 0, 0]), "world.bias_omega"),
             bias_v=_vec3(raw.get("bias_v", [0, 0, 0]), "world.bias_v"),
-            noise_std_omega=float(raw.get("noise_std_omega", 0.0)),
-            noise_std_v=float(raw.get("noise_std_v", 0.0)),
-            feature_noise_std=float(raw.get("feature_noise_std", 0.0)),
             dt=dt,
             duration=duration,
-            rng_seed=int(raw.get("rng_seed", 0)),
+            rng_seed=rng_seed,
             init_rotation=init_rotation,
             init_position=_vec3(raw.get("init_position", [0, 0, 0]), "world.init_position"),
+            **noise,
         )
 
 
@@ -180,39 +208,6 @@ class MeasurementBundle:
     imu_ref: np.ndarray    # (m, 3) unit rows
     imu_body: np.ndarray   # (m, 3) unit rows
     t: float
-
-
-def initial_true_state(cfg: WorldConfig) -> TrueState:
-    return TrueState(
-        pose=Pose(cfg.init_rotation.copy(), cfg.init_position.copy()),
-        landmarks=cfg.landmarks,
-        t=0.0,
-    )
-
-
-def propagate_true(state: TrueState, u: Twist, dt: float) -> TrueState:
-    """Advance the true pose by one interval; landmarks never move."""
-    return TrueState(
-        pose=state.pose.compose(se3_exp(u, dt)),
-        landmarks=state.landmarks,
-        t=state.t + dt,
-    )
-
-
-def sample_velocity(u_true: Twist, cfg: WorldConfig, rng: np.random.Generator) -> Twist:
-    """Velocity readout: truth plus constant bias plus per-axis noise."""
-    omega = u_true.omega + cfg.bias_omega + cfg.noise_std_omega * rng.standard_normal(3)
-    v = u_true.v + cfg.bias_v + cfg.noise_std_v * rng.standard_normal(3)
-    return Twist(omega, v)
-
-
-def sample_features(state: TrueState, cfg: WorldConfig, rng: np.random.Generator) -> np.ndarray:
-    """Body-frame landmark vectors y_i = R^T (p_i - P), optionally noisy."""
-    rel = state.landmarks - state.pose.position
-    y = rel @ state.pose.rotation  # row i is R^T (p_i - P)
-    if cfg.feature_noise_std > 0.0:
-        y = y + cfg.feature_noise_std * rng.standard_normal(y.shape)
-    return y
 
 
 def augmented_refs(imu_refs: np.ndarray) -> np.ndarray:
@@ -241,31 +236,14 @@ def augmented_refs(imu_refs: np.ndarray) -> np.ndarray:
     return np.vstack([unit, cross / sin_angle])
 
 
-def sample_imu(state: TrueState, cfg: WorldConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Direction-sensor pairs (reference rows, body rows).
-
-    Body rows are the noise-free transports R^T v of the normalized
-    references; the synthesized third body row is the renormalized cross
-    product of the first two body rows.  ``rng`` is accepted for
-    interface symmetry with the other samplers — the direction sensors
-    are modelled unbiased and noise-free.
-    """
-    refs = augmented_refs(cfg.imu_refs)
-    r = state.pose.rotation
-    body = refs[:-1] @ r  # row j is R^T ref_j, still unit
-    third = np.cross(body[0], body[1])
-    third = third / np.linalg.norm(third)
-    return refs, np.vstack([body, third])
-
-
 @dataclass(frozen=True)
 class WorldTrace:
     """A full simulated run laid out as arrays.
 
     Truth is stored at every sample instant k = 0..K; measurement record
     k = 0..K-1 describes the interval [t_k, t_k + dt] and is sampled at
-    its midpoint.  ``measurement_state(k)`` returns the truth the record
-    was synthesized from; ``true_state(k)`` the truth at instant k.
+    its midpoint, whose truth is ``mid_rotations[k]``/``mid_positions[k]``;
+    ``true_state(k)`` is the truth at instant k.
     """
 
     cfg: WorldConfig
@@ -285,14 +263,6 @@ class WorldTrace:
             pose=Pose(self.rotations[k], self.positions[k]),
             landmarks=self.landmarks,
             t=float(self.times[k]),
-        )
-
-    def measurement_state(self, k: int) -> TrueState:
-        """Truth at the midpoint of interval k, where record k is sampled."""
-        return TrueState(
-            pose=Pose(self.mid_rotations[k], self.mid_positions[k]),
-            landmarks=self.landmarks,
-            t=float(self.times[k]) + 0.5 * self.cfg.dt,
         )
 
     def bundle(self, k: int) -> MeasurementBundle:
@@ -334,9 +304,9 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
     mid_rotations = np.empty((k_steps, 3, 3))
     mid_positions = np.empty((k_steps, 3))
 
-    # One draw per noisy scalar, in the same stream order the samplers
-    # would consume individually: (omega, v[, features]) for step k,
-    # then step k+1.  Chunked draws read the identical normal sequence.
+    # One draw per noisy scalar, in the same stream order the reference
+    # samplers would consume individually: (omega, v[, features]) for
+    # step k, then step k+1.  Chunked draws read the identical sequence.
     if cfg.feature_noise_std > 0.0:
         noise = rng.standard_normal((k_steps, 6 + 3 * n))
         feat_noise = noise[:, 6:].reshape(k_steps, n, 3).copy()

@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from _support import random_rotation, series_exp
-from lieslam.filter_imu import build_kernel, pi_meas, upsilon_meas
+from _support import pi_meas, random_rotation, series_exp, upsilon_meas
+from lieslam.filter_imu import build_kernel
 from lieslam.harness import run
 from lieslam.liegroup import (
     Pose,

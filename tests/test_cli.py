@@ -8,6 +8,7 @@ import pytest
 
 from _support import small_run_dict, small_world_dict
 from lieslam.cli import main
+from lieslam.harness import bundled_config_path
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -61,6 +62,67 @@ def test_run_filter_without_gains(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["run", "--config", cfg, "--out", str(out), "--filter", "imu"]) == 2
     assert "gains.imu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ("imu", "imu_quat"))
+def test_run_filter_override_uses_other_gains_block(tmp_path, kind, warmed_up):
+    """Both gains blocks are read, whichever filter the file selects."""
+    doc = json.loads(bundled_config_path("square_level").read_text())
+    doc["filter"] = "basic"
+    doc["world"]["duration"] = 0.05
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, doc), "--out", str(out),
+                 "--filter", kind]) == 0
+    assert (out / f"filter_{kind}.csv").exists()
+
+
+def _set(*path_and_value):
+    """Edit of a run config: set the entry at path to value."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for p in path:
+            doc = doc[p]
+        doc[key] = value
+    return edit
+
+
+# (edit of small_run_dict(), extra CLI arguments, key the error must name)
+MALFORMED = {
+    "dt_nan": (_set("world", "dt", float("nan")), [], "world.dt"),
+    "duration_inf": (_set("world", "duration", float("inf")), [], "world.duration"),
+    "dt_text": (_set("world", "dt", "abc"), [], "world.dt"),
+    "seed_text": (_set("world", "rng_seed", "x"), [], "world.rng_seed"),
+    "stride_text": (_set("sample_stride", "x"), [], "sample_stride"),
+    "ragged_landmarks": (_set("world", "landmarks", [[5, 0, 0], [0, 5], [0, 0, 5]]), [],
+                         "world.landmarks"),
+    "profile_text": (_set("world", "omega_true", {"const": "a"}), [], "world.omega_true.const"),
+    "negative_noise": (_set("world", "noise_std_v", -1), [], "world.noise_std_v"),
+    "dt_over_duration": (_set("world", "dt", 2.0), [], "world.duration"),
+    "fractional_stride": (_set("sample_stride", 2.7), [], "sample_stride"),
+    "nan_landmark": (_set("world", "landmarks", [[5, 0, 0], [0, 5, 0], [0, 0, float("nan")]]),
+                     [], "world.landmarks"),
+    "nan_gain": (_set("gains", "imu", "k_w", float("nan")), [], "gains.imu.k_w"),
+    "literal_1e400": (_set("world", "bias_v", [0.0, "1e400", 0.0]), [], "world.bias_v"),
+    "gains_not_object": (_set("gains", "basic", 5), [], "gains.basic"),
+    "init_nan": (_set("init", {"position": [0.0, float("nan"), 0.0]}), [], "init.position"),
+    "flag_text": (_set("simplified_form", "no"), [], "simplified_form"),
+    "output_dir_number": (_set("output_dir", 7), [], "output_dir"),
+    "negative_seed": (lambda doc: None, ["--seed", "-1"], "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_run_malformed_config_exits_2(tmp_path, capsys, case):
+    edit, args, key = MALFORMED[case]
+    doc = small_run_dict()
+    doc["world"]["duration"] = 0.05
+    edit(doc)
+    text = json.dumps(doc).replace('"1e400"', "1e400")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *args]) == 2
+    assert f"{key}:" in capsys.readouterr().err
 
 
 def test_run_rejects_bad_runs_count(tmp_path, capsys):

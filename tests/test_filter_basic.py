@@ -5,16 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _support import random_rotation
+from _support import (
+    basic_correction,
+    innovation_errors,
+    innovation_wrench,
+    measurement_state,
+    random_rotation,
+)
 from lieslam import _kernels
 from lieslam.filter_basic import (
     BasicGains,
     FilterDivergence,
     FilterState,
-    basic_correction,
     basic_params,
     basic_step,
-    innovation_errors,
     pack_state,
 )
 from lieslam.liegroup import Pose, Twist, adjoint_aug, se3_exp
@@ -76,7 +80,7 @@ def test_innovation_matches_true_geometry(clean_trace):
     # later checkpoints sit ~160 m from the origin, so cancellation in
     # lm - R y - P costs a few extra digits
     for k, tol in ((0, 1e-12), (500, 1e-12), (20000, 1e-10), (39999, 1e-10)):
-        ms = clean_trace.measurement_state(k)
+        ms = measurement_state(clean_trace, k)
         fs = FilterState(pose=ms.pose, landmarks=lm, bias=Twist.zero())
         e = innovation_errors(fs, clean_trace.y[k])
         assert np.abs(e).max() < tol
@@ -235,9 +239,7 @@ def test_step_rates_by_finite_difference():
     ])
     pos_rate = fs.pose.rotation @ u_eff[3:]
     lm_rate = -gains.k_1 * e
-    inv_a = (1.0 / gains.alpha)[:, None]
-    g = fs.landmarks - e
-    zw = np.concatenate([(inv_a * np.cross(g, e)).sum(axis=0), (inv_a * e).sum(axis=0)])
+    zw = innovation_wrench(fs, e, 1.0 / gains.alpha)
     bias_rate = -gains.gamma * (adjoint_aug(fs.pose).T @ zw)
 
     np.testing.assert_allclose((out.pose.rotation - fs.pose.rotation) / dt, rot_rate, rtol=1e-4, atol=1e-4)

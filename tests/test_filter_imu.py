@@ -7,21 +7,20 @@ import warnings
 import numpy as np
 import pytest
 
-from _support import random_ref_triad, random_rotation
-from lieslam import _kernels
-from lieslam.filter_basic import FilterDivergence, FilterState, innovation_errors, pack_state
-from lieslam.filter_imu import (
-    TAU_FLOOR,
-    ImuGains,
+from _support import (
     attitude_gain_divisor,
-    build_kernel,
     imu_correction,
-    imu_params,
-    imu_step,
+    innovation_errors,
     pi_from_products,
     pi_meas,
+    random_ref_triad,
+    random_rotation,
     upsilon_meas,
 )
+from lieslam import _kernels
+from lieslam._kernels import TAU_FLOOR
+from lieslam.filter_basic import FilterDivergence, FilterState, pack_state
+from lieslam.filter_imu import ImuGains, build_kernel, imu_params, imu_step
 from lieslam.liegroup import Pose, Twist, antisym_project, se3_exp, skew, so3_distance, so3_exp, upsilon, vex
 from lieslam.worldsim import MeasurementBundle, augmented_refs
 

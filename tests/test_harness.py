@@ -192,6 +192,15 @@ def test_run_filter_sampling_grid(warmed_up):
     assert np.isclose(result.reports[-1].t, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ("basic", "imu"))
+def test_lyap_steps_match_sampled_reports(name, warmed_up):
+    """The per-step candidate and the sampled reports share one error state."""
+    rc = parse_run_config(small_run_dict())
+    result = run_filter(simulate_world(rc.world), rc, name, record_lyap=True)
+    assert np.array_equal(result.lyap_steps[result.sample_ks],
+                          [r.lyap for r in result.reports])
+
+
 def test_run_writes_artifacts(tmp_path, warmed_up):
     doc = small_run_dict()
     rc = dataclasses.replace(parse_run_config(doc), output_dir=tmp_path / "out")

@@ -2,8 +2,8 @@
 
 The rates kernels are called exactly as the step functions call them
 (flat state from ``pack_state``, parameters from the step's own
-packing) and compared with the numpy corrections plus the kinematics at
-a relative tolerance of 1e-12.  A byte-identity guard pins the CSV
+packing) and compared with the reference corrections in ``_support``
+plus the kinematics at a relative tolerance of 1e-12.  A byte-identity guard pins the CSV
 digests of two short bundled runs on the interpreted backend.
 """
 
@@ -14,36 +14,30 @@ import json
 
 import numpy as np
 import pytest
-from _support import random_ref_triad, random_rotation
-
-from lieslam import _kernels
-from lieslam.cli import main
-from lieslam.filter_basic import (
-    BasicGains,
-    FilterState,
-    basic_correction,
-    basic_params,
-    innovation_errors,
-    pack_state,
-)
-from lieslam.filter_imu import (
-    ImuGains,
-    _attitude_terms,
+from _support import (
     attitude_gain_divisor,
-    build_kernel,
+    attitude_terms,
+    basic_correction,
+    direction_sums,
     imu_correction,
-    imu_params,
+    innovation_errors,
+    innovation_wrench,
     pi_from_products,
-)
-from lieslam.harness import bundled_config_path
-from lieslam.liegroup import Pose, Twist, adjoint_aug, skew
-from lieslam.quaternion import (
-    QuatFilterState,
     quat_conjugate,
     quat_correction,
     quat_omega,
+    random_ref_triad,
+    random_rotation,
     rotate_by_quat,
 )
+
+from lieslam import _kernels
+from lieslam.cli import main
+from lieslam.filter_basic import BasicGains, FilterState, basic_params, pack_state
+from lieslam.filter_imu import ImuGains, build_kernel, imu_params
+from lieslam.harness import bundled_config_path
+from lieslam.liegroup import Pose, Twist, adjoint_aug, skew
+from lieslam.quaternion import QuatFilterState
 from lieslam.worldsim import MeasurementBundle
 
 SIZES = (3, 4, 32)
@@ -97,9 +91,7 @@ def test_basic_rates_match_numpy_laws(n):
     e = innovation_errors(fs, m.y)
     w = basic_correction(fs, e, gains)
     u = m.u_m.vector() - fs.bias.vector() - w.vector()
-    inv_a = (1.0 / gains.alpha)[:, None]
-    zw = np.concatenate([(inv_a * np.cross(fs.landmarks - e, e)).sum(axis=0),
-                         (inv_a * e).sum(axis=0)])
+    zw = innovation_wrench(fs, e, 1.0 / gains.alpha)
     _close(out[:9], (r @ skew(u[:3])).ravel())
     _close(out[9:12], r @ u[3:])
     _close(out[12:18], -gains.gamma * (adjoint_aug(fs.pose).T @ zw))
@@ -125,7 +117,7 @@ def test_imu_rates_match_numpy_laws(n, simplified):
     r = fs.pose.rotation
     e = innovation_errors(fs, m.y)
     w = imu_correction(fs, m, e, kernel, gains, simplified_form=simplified)
-    half, _ = _attitude_terms(r, m, kernel)
+    half, _ = attitude_terms(r, m, kernel)
     u = m.u_m.vector() - fs.bias.vector() - w.vector()
     _close(out[:9], (r @ skew(u[:3])).ravel())
     _close(out[9:12], r @ u[3:])
@@ -145,8 +137,8 @@ def test_quat_rates_match_numpy_laws(n, simplified):
 
     q, q_inv = qs.q, quat_conjugate(qs.q)
     w = quat_correction(qs, m, kernel, gains, simplified_form=simplified)
-    v_hat = rotate_by_quat(q_inv, m.imu_ref)
-    half = 0.5 * (kernel.weights[:, None] * np.cross(v_hat, m.imu_body)).sum(axis=0)
+    half, _, _ = direction_sums(rotate_by_quat(q_inv, m.imu_ref), m.imu_ref, m.imu_body,
+                                kernel.weights)
     innov = rotate_by_quat(q_inv, rotate_by_quat(q, half))
     e = qs.landmarks - rotate_by_quat(q, m.y) - qs.position
     u = m.u_m.vector() - qs.bias.vector() - w.vector()
@@ -158,10 +150,8 @@ def test_quat_rates_match_numpy_laws(n, simplified):
 
 def test_gain_divisor_matches_numpy_guards():
     fs, m, kernel, _, _ = _case(400, 4)
-    w = kernel.weights[:, None, None]
-    v_hat = m.imu_ref @ fs.pose.rotation
-    a_mat = (w * (m.imu_body[:, :, None] * m.imu_ref[:, None, :])).sum(axis=0)
-    b_mat = (w * (v_hat[:, :, None] * m.imu_ref[:, None, :])).sum(axis=0)
+    _, a_mat, b_mat = direction_sums(m.imu_ref @ fs.pose.rotation, m.imu_ref, m.imu_body,
+                                     kernel.weights)
     tau = attitude_gain_divisor(kernel, pi_from_products(a_mat, b_mat))
     got = _kernels._gain_divisor(tuple(a_mat.ravel().tolist()), tuple(b_mat.ravel().tolist()),
                                  kernel.lambda_min)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _support import random_rotation
-from lieslam.filter_basic import BasicGains, FilterState, innovation_errors
+from _support import innovation_errors, random_rotation
+from lieslam.filter_basic import BasicGains, FilterState
 from lieslam.filter_imu import ImuGains, build_kernel
 from lieslam.liegroup import Pose, Twist, so3_exp
 from lieslam.metrics import (

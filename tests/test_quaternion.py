@@ -5,23 +5,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _support import random_ref_triad, random_rotation
+from _support import (
+    imu_correction,
+    innovation_errors,
+    quat_conjugate,
+    quat_correction,
+    quat_kinematics_step,
+    quat_omega,
+    quat_product,
+    random_ref_triad,
+    random_rotation,
+    rotate_by_quat,
+)
 from lieslam import _kernels
-from lieslam.filter_basic import FilterDivergence, FilterState, innovation_errors, pack_state
-from lieslam.filter_imu import ImuGains, build_kernel, imu_correction, imu_params, imu_step
+from lieslam.filter_basic import FilterDivergence, FilterState, pack_state
+from lieslam.filter_imu import ImuGains, build_kernel, imu_params, imu_step
 from lieslam.liegroup import Pose, Twist, skew, so3_exp
 from lieslam.quaternion import (
     QuatFilterState,
-    quat_conjugate,
-    quat_correction,
     quat_imu_step,
-    quat_kinematics_step,
     quat_normalize,
-    quat_omega,
-    quat_product,
     quat_to_rot,
     rot_to_quat,
-    rotate_by_quat,
 )
 from lieslam.worldsim import MeasurementBundle
 

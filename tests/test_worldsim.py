@@ -7,18 +7,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _support import random_rotation
+from _support import (
+    initial_true_state,
+    measurement_state,
+    profile_at,
+    propagate_true,
+    random_rotation,
+    sample_features,
+    sample_imu,
+    sample_velocity,
+)
 from lieslam.liegroup import Pose, Twist
 from lieslam.worldsim import (
     ConfigError,
     LinearProfile,
     WorldConfig,
     augmented_refs,
-    initial_true_state,
-    propagate_true,
-    sample_features,
-    sample_imu,
-    sample_velocity,
     simulate_world,
 )
 
@@ -47,13 +51,13 @@ def _world_dict(**overrides) -> dict:
 
 def test_linear_profile_plain_vector():
     p = LinearProfile.parse([1.0, 2.0, 3.0], "k")
-    assert np.array_equal(p(0.0), [1.0, 2.0, 3.0])
-    assert np.array_equal(p(10.0), [1.0, 2.0, 3.0])
+    assert np.array_equal(profile_at(p, 0.0), [1.0, 2.0, 3.0])
+    assert np.array_equal(profile_at(p, 10.0), [1.0, 2.0, 3.0])
 
 
 def test_linear_profile_with_slope():
     p = LinearProfile.parse({"const": [2.5, 0.0, 0.0], "slope": [0.0, 0.0, 0.2]}, "k")
-    assert np.allclose(p(3.0), [2.5, 0.0, 0.6], atol=1e-15)
+    assert np.allclose(profile_at(p, 3.0), [2.5, 0.0, 0.6], atol=1e-15)
 
 
 def test_linear_profile_rejects_unknown_keys():
@@ -280,9 +284,11 @@ def _reference_trace(cfg: WorldConfig):
     mrot, mpos, u_ms, ys, bodies = [], [], [], [], []
     for k in range(cfg.n_steps):
         t = k * cfg.dt
-        u_quarter = Twist(cfg.omega_true(t + cfg.dt / 4), cfg.v_true(t + cfg.dt / 4))
+        u_quarter = Twist(profile_at(cfg.omega_true, t + cfg.dt / 4),
+                          profile_at(cfg.v_true, t + cfg.dt / 4))
         mid = propagate_true(state, u_quarter, cfg.dt / 2)
-        u_mid = Twist(cfg.omega_true(t + cfg.dt / 2), cfg.v_true(t + cfg.dt / 2))
+        u_mid = Twist(profile_at(cfg.omega_true, t + cfg.dt / 2),
+                      profile_at(cfg.v_true, t + cfg.dt / 2))
         u_ms.append(sample_velocity(u_mid, cfg, rng).vector())
         ys.append(sample_features(mid, cfg, rng))
         bodies.append(sample_imu(mid, cfg, rng)[1])
@@ -325,7 +331,7 @@ def test_trace_reconstruction_invariant(clean_trace):
     """p_i = R_mid y_i + P_mid at the sampling instant, every interval."""
     lm = clean_trace.landmarks
     for k in (0, 1, 1000, 20000, clean_trace.u_m.shape[0] - 1):
-        ms = clean_trace.measurement_state(k)
+        ms = measurement_state(clean_trace, k)
         rebuilt = clean_trace.y[k] @ ms.pose.rotation.T + ms.pose.position
         assert np.abs(rebuilt - lm).max() < 1e-10
 
@@ -336,7 +342,7 @@ def test_trace_time_labels():
     assert np.allclose(trace.times, np.arange(11) * 0.001, atol=1e-15)
     b = trace.bundle(3)
     assert np.isclose(b.t, 0.003, atol=1e-15)
-    assert np.isclose(trace.measurement_state(3).t, 0.0035, atol=1e-15)
+    assert np.isclose(measurement_state(trace, 3).t, 0.0035, atol=1e-15)
 
 
 def test_trace_is_deterministic():
