@@ -591,7 +591,7 @@ def _store(out, k, values):
 @njit(cache=True)
 def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
                 std_om, std_v, std_feat, vel_noise, feat_noise, dt, k_steps,
-                rotations, positions, u_m, y, imu_body, mid_rot, mid_pos):
+                rotations, positions, u_m, y, imu_body):
     """Fill a full ground-truth trace plus midpoint-sampled measurements.
 
     Per interval, exactly what the single-step reference samplers in
@@ -637,8 +637,6 @@ def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
                            (v_c0 + v_s0 * t_quarter,
                             v_c1 + v_s1 * t_quarter,
                             v_c2 + v_s2 * t_quarter), 0.5 * dt)
-        _store(mid_rot, k, rm)
-        _store(mid_pos, k, pm)
         m00, m01, m02, m10, m11, m12, m20, m21, m22 = rm
         pm0, pm1, pm2 = pm
 

@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, compare CSV outputs.
 
 Exit codes: 0 success, 2 invalid configuration or schema mismatch,
-3 numerical abort inside an estimator.
+3 numerical abort inside an estimator; with ``--runs`` the worst code
+over the seeds.
 """
 
 from __future__ import annotations
@@ -42,9 +43,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_worker(rc: RunConfig, seed: int) -> int:
+def _seed_worker(rc: RunConfig, seed: int) -> None:
     run(rc, suffix=f"_seed{seed}", seed=seed)
-    return seed
+
+
+def _run_seeds(rc: RunConfig, runs: int) -> int:
+    """Run consecutive seeds in a worker pool and report each one; the
+    exit code is the worst over the seeds."""
+    seeds = [rc.world.rng_seed + i for i in range(runs)]
+    code = 0
+    with ProcessPoolExecutor(max_workers=min(runs, 8)) as pool:
+        futures = [pool.submit(_seed_worker, rc, seed) for seed in seeds]
+        for seed, future in zip(seeds, futures):
+            try:
+                future.result()
+            except (FilterDivergence, ConfigError) as exc:
+                print(f"seed {seed}: error: {exc}", file=sys.stderr)
+                code = max(code, 3 if isinstance(exc, FilterDivergence) else 2)
+            else:
+                print(f"seed {seed}: done")
+    if code == 0:
+        print(f"wrote {runs} runs to {rc.output_dir}")
+    return code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -64,14 +84,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if args.runs > 1:
+        return _run_seeds(rc, args.runs)
     try:
-        if args.runs > 1:
-            seeds = [rc.world.rng_seed + i for i in range(args.runs)]
-            with ProcessPoolExecutor(max_workers=min(args.runs, 8)) as pool:
-                for seed in pool.map(_seed_worker, [rc] * len(seeds), seeds):
-                    print(f"seed {seed}: done")
-            print(f"wrote {args.runs} runs to {rc.output_dir}")
-            return 0
         artifacts = run(rc)
     except FilterDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,7 +107,7 @@ def unpack_state(out: np.ndarray) -> FilterState:
 
 
 def basic_step(fs: FilterState, m: MeasurementBundle, gains: BasicGains,
-               dt: float, substeps: int = DEFAULT_SUBSTEPS) -> FilterState:
+               dt: float) -> FilterState:
     """Advance the feature-only observer across one measurement interval.
 
     The continuous correction laws are integrated over [t, t + dt] with
@@ -119,7 +119,7 @@ def basic_step(fs: FilterState, m: MeasurementBundle, gains: BasicGains,
     """
     x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
     return unpack_state(run_sample(_kernels.basic_sample, x, basic_params(m, gains),
-                                   dt, substeps, "feature-only observer"))
+                                   dt, DEFAULT_SUBSTEPS, "feature-only observer"))
 
 
 def basic_params(m: MeasurementBundle, gains: BasicGains) -> tuple:

@@ -108,8 +108,7 @@ DEFAULT_SUBSTEPS = 1
 
 
 def imu_step(fs: FilterState, m: MeasurementBundle, kernel: AttitudeKernel,
-             gains: ImuGains, dt: float, simplified_form: bool = False,
-             substeps: int = DEFAULT_SUBSTEPS) -> FilterState:
+             gains: ImuGains, dt: float, simplified_form: bool = False) -> FilterState:
     """Advance the IMU-aided observer across one measurement interval.
 
     The correction laws are continuous-time; the sampled implementation
@@ -129,7 +128,7 @@ def imu_step(fs: FilterState, m: MeasurementBundle, kernel: AttitudeKernel,
     scale = 1.0 if simplified_form else float(fs.landmarks.shape[0])
     x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
     return unpack_state(run_sample(_kernels.imu_sample, x,
-                                   imu_params(m, kernel, gains, scale), dt, substeps,
+                                   imu_params(m, kernel, gains, scale), dt, DEFAULT_SUBSTEPS,
                                    "IMU-aided observer"))
 
 

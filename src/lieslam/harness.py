@@ -18,18 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from .filter_basic import BasicGains, FilterDivergence, FilterState, basic_step
-from .filter_imu import AttitudeKernel, ImuGains, build_kernel, imu_step
+from .filter_imu import ImuGains, build_kernel, imu_step
 from .liegroup import Pose, Twist, orthonormalize, rotation_defect
 from .metrics import ErrorReport, error_state, evaluate, report_header, report_row
-from .quaternion import QuatFilterState, quat_imu_step
+from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
 from .worldsim import (
     ConfigError,
+    TrueState,
     WorldConfig,
     WorldTrace,
     floats,
     integer,
     scalar,
     simulate_world,
+    steps_do_not_fit,
 )
 
 FILTER_CHOICES = ("basic", "imu", "imu_quat", "both")
@@ -209,122 +211,86 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 @dataclass
 class FilterRunResult:
-    """Everything recorded while one estimator consumed a world trace."""
+    """What one estimator did over a world trace: its state after every
+    step, and its error reports at the sampled steps."""
 
     name: str
     sample_ks: np.ndarray            # (S,) sampled step indices
-    rotations: np.ndarray            # (S, 3, 3) estimator state at each sample
-    positions: np.ndarray            # (S, 3)
-    landmarks: np.ndarray            # (S, n, 3)
-    biases: np.ndarray               # (S, 6) angular then linear
-    reports: list[ErrorReport]
-    lyap_steps: np.ndarray | None    # (K+1,) candidate at every step, if recorded
-    rot_traj: np.ndarray | None      # (K+1, 3, 3) estimated attitude, if recorded
-    pos_traj: np.ndarray | None      # (K+1, 3)
+    rotations: np.ndarray            # (K+1, 3, 3) estimator state at every step
+    positions: np.ndarray            # (K+1, 3)
+    landmarks: np.ndarray            # (K+1, n, 3)
+    biases: np.ndarray               # (K+1, 6) angular then linear
+    reports: list[ErrorReport]       # one per entry of sample_ks
     wall_time: float
+
+    def state(self, k) -> FilterState:
+        """Estimator state after step k (0 is the initial state).  A
+        slice gives one FilterState whose arrays stack those steps."""
+        return FilterState(Pose(self.rotations[k], self.positions[k]), self.landmarks[k],
+                           Twist(self.biases[k, :3], self.biases[k, 3:]))
 
     @property
     def states(self) -> list[FilterState]:
         """Estimator state at each sample, built on access.
 
-        The samples are kept as stacked arrays rather than as state
+        The steps are kept as stacked arrays rather than as state
         objects, which a caller would otherwise pay to free one by one.
         """
-        return [FilterState(Pose(r, p), lm, Twist(b[:3], b[3:]))
-                for r, p, lm, b in zip(self.rotations, self.positions,
-                                       self.landmarks, self.biases)]
+        return [self.state(k) for k in self.sample_ks]
 
 
-def _initial_filter_state(rc: RunConfig) -> FilterState:
-    return FilterState(
-        pose=Pose(rc.init_rotation.copy(), rc.init_position.copy()),
-        landmarks=rc.init_landmarks.copy(),
-        bias=Twist(rc.init_bias[:3].copy(), rc.init_bias[3:].copy()),
-    )
+def _candidate(trace: WorldTrace, rc: RunConfig, name: str) -> tuple:
+    """Lyapunov candidate of a filter as (kind, gains, attitude kernel,
+    attitude multiplicity); the gains and the kernel are also the ones
+    the filter steps with."""
+    if name == "basic":
+        return "basic", rc.gains_basic, None, 1.0
+    kernel = build_kernel(trace.imu_ref, trace.cfg.sensor_weights)
+    return ("imu", rc.gains_imu, kernel,
+            1.0 if rc.simplified_form else float(trace.cfg.n_landmarks))
 
 
-def run_filter(
-    trace: WorldTrace,
-    rc: RunConfig,
-    name: str,
-    record_lyap: bool = False,
-    record_trajectory: bool = False,
-) -> FilterRunResult:
+def run_filter(trace: WorldTrace, rc: RunConfig, name: str) -> FilterRunResult:
     """Run one estimator over a simulated trace.
 
-    Raises FilterDivergence (annotated with the step index) if the
-    estimator state stops being finite.
+    The state after every step is recorded; the error reports are
+    evaluated every ``sample_stride`` steps.  Raises FilterDivergence
+    (annotated with the step index) if the estimator state stops being
+    finite, and ConfigError if the record does not fit in memory.
     """
     if name not in ("basic", "imu", "imu_quat"):
         raise ValueError(f"unknown filter {name!r}")
     cfg = trace.cfg
     k_steps = trace.u_m.shape[0]
     dt = cfg.dt
-    stride = rc.sample_stride
-    bias_true = Twist(cfg.bias_omega, cfg.bias_v)
+    kind, gains, kernel, att_mult = _candidate(trace, rc, name)
 
-    kernel: AttitudeKernel | None = None
-    if name in ("imu", "imu_quat"):
-        kernel = build_kernel(trace.imu_ref, cfg.sensor_weights)
-        gains: ImuGains | BasicGains = rc.gains_imu
-        lyap_kind = "imu"
-        att_mult = 1.0 if rc.simplified_form else float(cfg.n_landmarks)
+    # the steps return new states, so the initial one may share rc's arrays
+    bias = Twist(rc.init_bias[:3], rc.init_bias[3:])
+    quat = name == "imu_quat"
+    if quat:
+        fs = QuatFilterState.from_rotation(rc.init_rotation, rc.init_position,
+                                           rc.init_landmarks, bias)
     else:
-        gains = rc.gains_basic
-        lyap_kind = "basic"
-        att_mult = 1.0
-
-    fs = _initial_filter_state(rc)
-    qs: QuatFilterState | None = None
-    if name == "imu_quat":
-        qs = QuatFilterState.from_rotation(
-            fs.pose.rotation, fs.pose.position, fs.landmarks, fs.bias
-        )
-
-    sample_ks: list[int] = []
-    n_samples = k_steps // stride + 1
-    sample_rot = np.empty((n_samples, 3, 3))
-    sample_pos = np.empty((n_samples, 3))
-    sample_lm = np.empty((n_samples,) + fs.landmarks.shape)
-    sample_bias = np.empty((n_samples, 6))
-    reports: list[ErrorReport] = []
-    lyap_steps = np.empty(k_steps + 1) if record_lyap else None
-    rot_traj = np.empty((k_steps + 1, 3, 3)) if record_trajectory else None
-    pos_traj = np.empty((k_steps + 1, 3)) if record_trajectory else None
-
-    def current_state() -> FilterState:
-        if qs is None:
-            return fs
-        return FilterState(
-            pose=Pose(qs.rotation(), qs.position),
-            landmarks=qs.landmarks,
-            bias=qs.bias,
-        )
+        fs = FilterState(Pose(rc.init_rotation, rc.init_position), rc.init_landmarks, bias)
+    try:
+        # the quaternion filter's attitude is converted once, after the loop
+        attitudes = np.empty((k_steps + 1,) + ((4,) if quat else (3, 3)))
+        positions = np.empty((k_steps + 1, 3))
+        landmarks = np.empty((k_steps + 1,) + rc.init_landmarks.shape)
+        biases = np.empty((k_steps + 1, 6))
+    except MemoryError:
+        raise steps_do_not_fit(k_steps) from None
 
     start = time.perf_counter()
     for k in range(k_steps + 1):
-        state = current_state()
-        if record_trajectory:
-            rot_traj[k] = state.pose.rotation
-            pos_traj[k] = state.pose.position
-        if record_lyap:
-            lyap_steps[k] = error_state(trace.true_state(k), state, bias_true, lyap_kind,
-                                        gains, kernel, att_mult)[3]
-        if k % stride == 0:
-            s = len(sample_ks)
-            sample_ks.append(k)
-            sample_rot[s] = state.pose.rotation
-            sample_pos[s] = state.pose.position
-            sample_lm[s] = state.landmarks
-            sample_bias[s, :3] = state.bias.omega
-            sample_bias[s, 3:] = state.bias.v
-            reports.append(
-                evaluate(
-                    trace.true_state(k), state, bias_true,
-                    lyap_kind=lyap_kind, gains=gains, kernel=kernel,
-                    att_multiplicity=att_mult,
-                )
-            )
+        if quat:
+            attitudes[k], positions[k] = fs.q, fs.position
+        else:
+            attitudes[k], positions[k] = fs.pose.rotation, fs.pose.position
+        landmarks[k] = fs.landmarks
+        biases[k, :3] = fs.bias.omega
+        biases[k, 3:] = fs.bias.v
         if k == k_steps:
             break
 
@@ -335,23 +301,35 @@ def run_filter(
             elif name == "imu":
                 fs = imu_step(fs, m, kernel, gains, dt, rc.simplified_form)
             else:
-                qs = quat_imu_step(qs, m, kernel, gains, dt, rc.simplified_form)
+                fs = quat_imu_step(fs, m, kernel, gains, dt, rc.simplified_form)
         except FilterDivergence as exc:
             raise FilterDivergence(f"{name}: step {k} (t={k * dt:.6g}): {exc}") from None
 
-    return FilterRunResult(
-        name=name,
-        sample_ks=np.asarray(sample_ks),
-        rotations=sample_rot,
-        positions=sample_pos,
-        landmarks=sample_lm,
-        biases=sample_bias,
-        reports=reports,
-        lyap_steps=lyap_steps,
-        rot_traj=rot_traj,
-        pos_traj=pos_traj,
-        wall_time=time.perf_counter() - start,
+    result = FilterRunResult(name, np.arange(0, k_steps + 1, rc.sample_stride),
+                             quat_to_rot(attitudes) if quat else attitudes, positions,
+                             landmarks, biases, reports=[], wall_time=0.0)
+    bias_true = Twist(cfg.bias_omega, cfg.bias_v)
+    result.reports.extend(
+        evaluate(trace.true_state(k), result.state(k), bias_true, lyap_kind=kind,
+                 gains=gains, kernel=kernel, att_multiplicity=att_mult)
+        for k in result.sample_ks
     )
+    result.wall_time = time.perf_counter() - start
+    return result
+
+
+def lyapunov_steps(trace: WorldTrace, rc: RunConfig, result: FilterRunResult) -> np.ndarray:
+    """Lyapunov candidate of a run at every step, (K+1,).
+
+    One call of :func:`metrics.error_state` over the recorded states;
+    entry k equals the ``lyap`` that :func:`metrics.evaluate` reports
+    for step k.
+    """
+    kind, gains, kernel, att_mult = _candidate(trace, rc, result.name)
+    cfg = trace.cfg
+    truth = TrueState(Pose(trace.rotations, trace.positions), trace.landmarks)
+    return error_state(truth, result.state(slice(None)), Twist(cfg.bias_omega, cfg.bias_v),
+                       kind, gains, kernel, att_mult)[3]
 
 
 def _fmt(values) -> str:
@@ -378,8 +356,9 @@ def truth_csv_text(trace: WorldTrace, stride: int) -> str:
 
 
 def estimate_csv_text(result: FilterRunResult, times: np.ndarray) -> str:
+    ks = result.sample_ks
     return _state_csv_text(result.landmarks.shape[1], zip(
-        times[result.sample_ks], result.positions, result.rotations, result.landmarks))
+        times[ks], result.positions[ks], result.rotations[ks], result.landmarks[ks]))
 
 
 def report_csv_text(result: FilterRunResult, n_landmarks: int) -> str:

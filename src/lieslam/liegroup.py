@@ -22,13 +22,12 @@ _SMALL_ANGLE = 1e-6
 
 
 def skew(y: np.ndarray) -> np.ndarray:
-    """Return the antisymmetric matrix with skew(y) @ x == cross(y, x)."""
+    """Return the antisymmetric matrix with skew(y) @ x == cross(y, x);
+    leading axes of ``y`` (..., 3) give a stack of them."""
     y = np.asarray(y, dtype=float)
-    return np.array([
-        [0.0, -y[2], y[1]],
-        [y[2], 0.0, -y[0]],
-        [-y[1], y[0], 0.0],
-    ])
+    y0, y1, y2, zero = y[..., 0], y[..., 1], y[..., 2], np.zeros(y.shape[:-1])
+    return np.stack([zero, -y2, y1, y2, zero, -y0, -y1, y0, zero],
+                    axis=-1).reshape(y.shape[:-1] + (3, 3))
 
 
 def vex(m: np.ndarray) -> np.ndarray:
@@ -117,7 +116,7 @@ class Twist:
         return cls(u[:3].copy(), u[3:6].copy())
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.omega, self.v])
+        return np.concatenate([self.omega, self.v], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,13 @@ class ErrorReport:
     lyap: float
 
 
-def lyapunov_basic(e: np.ndarray, bias_diff: np.ndarray, gains: BasicGains) -> float:
+def lyapunov_basic(e: np.ndarray, bias_diff: np.ndarray,
+                   gains: BasicGains) -> float | np.ndarray:
     """Candidate for the feature-only observer:
-    sum |e_i|^2 / (2 alpha_i) + 0.5 bias_diff^T gamma^-1 bias_diff."""
-    quad = ((e * e).sum(axis=1) / (2.0 * gains.alpha)).sum()
-    return float(quad + 0.5 * (bias_diff * bias_diff / gains.gamma).sum())
+    sum |e_i|^2 / (2 alpha_i) + 0.5 bias_diff^T gamma^-1 bias_diff, one
+    value per leading index of e (..., n, 3) and bias_diff (..., 6)."""
+    quad = ((e * e).sum(axis=-1) / (2.0 * gains.alpha)).sum(axis=-1)
+    return quad + 0.5 * (bias_diff * bias_diff / gains.gamma).sum(axis=-1)
 
 
 def lyapunov_imu(
@@ -44,19 +46,19 @@ def lyapunov_imu(
     gains: ImuGains,
     kernel: AttitudeKernel,
     att_multiplicity: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Candidate for the IMU-aided observer.
 
     sum |e_i|^2 / (2 alpha_i) + att_multiplicity * (1/4) tr((I - R-tilde) M)
     + 0.5 bias_diff^T gamma^-1 bias_diff.  ``att_multiplicity`` matches
     the convention of the running filter: the block-summed form repeats
     its attitude terms once per landmark, so its exact candidate weights
-    the attitude energy by n; the simplified form uses 1.
-    """
-    quad = ((e * e).sum(axis=1) / (2.0 * gains.alpha)).sum()
-    att = 0.25 * (3.0 - float(np.trace(r_tilde @ kernel.matrix)))
+    the attitude energy by n; the simplified form uses 1.  Leading axes
+    broadcast as in :func:`lyapunov_basic`."""
+    quad = ((e * e).sum(axis=-1) / (2.0 * gains.alpha)).sum(axis=-1)
+    att = 0.25 * (3.0 - np.trace(r_tilde @ kernel.matrix, axis1=-2, axis2=-1))
     gamma = np.concatenate([gains.gamma_1, gains.gamma_2])
-    return float(quad + att_multiplicity * att + 0.5 * (bias_diff * bias_diff / gamma).sum())
+    return quad + att_multiplicity * att + 0.5 * (bias_diff * bias_diff / gamma).sum(axis=-1)
 
 
 def error_state(
@@ -67,7 +69,7 @@ def error_state(
     gains: BasicGains | ImuGains | None = None,
     kernel: AttitudeKernel | None = None,
     att_multiplicity: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | np.ndarray]:
     """Error state of an estimator against the truth: R-tilde, the
     innovations e (n, 3), the bias difference b - b-hat and the
     Lyapunov candidate.
@@ -77,16 +79,21 @@ def error_state(
     P-tilde = P-hat - R-tilde P), which coincides with the
     measurement-driven innovation when feature noise is zero.
 
+    The poses and the estimate's landmarks and bias may stack steps
+    along a leading axis (the truth's landmarks stay (n, 3)); entry k of
+    the result is then, bit for bit, the error state of step k alone.
+
     lyap_kind selects the candidate function ("basic", "imu", or "none"
-    to skip); "basic"/"imu" require the matching gains, and "imu" the
-    attitude kernel.
+    to skip, giving NaN); "basic"/"imu" require the matching gains, and
+    "imu" the attitude kernel.
     """
-    if true_state.landmarks.shape != fs.landmarks.shape:
+    if true_state.landmarks.shape != fs.landmarks.shape[-2:]:
         raise ValueError("landmark counts of truth and estimate differ")
 
-    r_tilde = fs.pose.rotation @ true_state.pose.rotation.T
-    p_tilde = fs.pose.position - r_tilde @ true_state.pose.position
-    e = fs.landmarks - true_state.landmarks @ r_tilde.T - p_tilde
+    r_tilde = fs.pose.rotation @ np.swapaxes(true_state.pose.rotation, -1, -2)
+    p_tilde = fs.pose.position - (r_tilde @ true_state.pose.position[..., None])[..., 0]
+    e = (fs.landmarks - true_state.landmarks @ np.swapaxes(r_tilde, -1, -2)
+         - p_tilde[..., None, :])
     bias_diff = bias_true.vector() - fs.bias.vector()
 
     if lyap_kind == "basic":

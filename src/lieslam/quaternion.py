@@ -30,13 +30,15 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix (q0^2 - |qv|^2) I + 2 qv qv^T + 2 q0 [qv]_x."""
+    """Rotation matrix (q0^2 - |qv|^2) I + 2 qv qv^T + 2 q0 [qv]_x; a stack
+    (..., 4) gives a stack of matrices, each bit-identical to its row's."""
     q = np.asarray(q, dtype=float)
-    q0, qv = q[0], q[1:]
+    q0, col = q[..., 0, None, None], q[..., 1:, None]
+    row = np.swapaxes(col, -1, -2)
     return (
-        (q0 * q0 - qv @ qv) * np.eye(3)
-        + 2.0 * np.outer(qv, qv)
-        + 2.0 * q0 * skew(qv)
+        (q0 * q0 - row @ col) * np.eye(3)
+        + 2.0 * (col * row)
+        + 2.0 * q0 * skew(q[..., 1:])
     )
 
 
@@ -111,9 +113,6 @@ class QuatFilterState:
             bias,
         )
 
-    def rotation(self) -> np.ndarray:
-        return quat_to_rot(self.q)
-
 
 def quat_imu_step(
     fs: QuatFilterState,
@@ -122,11 +121,10 @@ def quat_imu_step(
     gains: ImuGains,
     dt: float,
     simplified_form: bool = False,
-    substeps: int = DEFAULT_SUBSTEPS,
 ) -> QuatFilterState:
     """Advance the quaternion filter across one measurement interval.
 
-    Same correction laws, fourth-order integration and substep default
+    Same correction laws, fourth-order integration and substep count
     as :func:`lieslam.filter_imu.imu_step`, with the attitude carried
     as a unit quaternion (renormalized each substep) and every frame
     change done by conjugation.  Run side by side with the matrix
@@ -136,6 +134,6 @@ def quat_imu_step(
     scale = float(fs.landmarks.shape[0]) if not simplified_form else 1.0
     x = pack_state(fs.q, fs.position, fs.bias, fs.landmarks)
     out = run_sample(_kernels.quat_sample, x, imu_params(m, kernel, gains, scale),
-                     dt, substeps, "quaternion observer")
+                     dt, DEFAULT_SUBSTEPS, "quaternion observer")
     q, p, b_omega, b_v, lm = split_state(out, 4)
     return QuatFilterState(q, p, lm, Twist(b_omega, b_v))

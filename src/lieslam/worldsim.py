@@ -24,6 +24,11 @@ class ConfigError(ValueError):
     """A configuration document failed validation."""
 
 
+def steps_do_not_fit(k_steps: int) -> ConfigError:
+    """The error for a run whose per-step arrays cannot be allocated."""
+    return ConfigError(f"world.duration: {k_steps} steps of world.dt do not fit in memory")
+
+
 @dataclass(frozen=True)
 class LinearProfile:
     """Vector-valued signal const + slope * t (slope defaults to zero)."""
@@ -242,8 +247,7 @@ class WorldTrace:
 
     Truth is stored at every sample instant k = 0..K; measurement record
     k = 0..K-1 describes the interval [t_k, t_k + dt] and is sampled at
-    its midpoint, whose truth is ``mid_rotations[k]``/``mid_positions[k]``;
-    ``true_state(k)`` is the truth at instant k.
+    its midpoint; ``true_state(k)`` is the truth at instant k.
     """
 
     cfg: WorldConfig
@@ -255,8 +259,6 @@ class WorldTrace:
     y: np.ndarray             # (K, n, 3)
     imu_ref: np.ndarray       # (m, 3)
     imu_body: np.ndarray      # (K, m, 3)
-    mid_rotations: np.ndarray  # (K, 3, 3) truth at interval midpoints
-    mid_positions: np.ndarray  # (K, 3)
 
     def true_state(self, k: int) -> TrueState:
         return TrueState(
@@ -288,6 +290,9 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
     start-of-interval snapshot constant over the sample injects a
     one-sided O(dt) disturbance into any consumer that integrates
     across the interval, and that shows up as spurious energy growth.
+
+    Raises ConfigError, naming world.dt and world.duration, when the
+    trace does not fit in memory.
     """
     rng = np.random.default_rng(cfg.rng_seed if seed is None else seed)
     k_steps = cfg.n_steps
@@ -295,24 +300,25 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
     refs = augmented_refs(cfg.imu_refs)
     m = refs.shape[0]
 
-    times = np.arange(k_steps + 1) * cfg.dt
-    rotations = np.empty((k_steps + 1, 3, 3))
-    positions = np.empty((k_steps + 1, 3))
-    u_m = np.empty((k_steps, 6))
-    y = np.empty((k_steps, n, 3))
-    imu_body = np.empty((k_steps, m, 3))
-    mid_rotations = np.empty((k_steps, 3, 3))
-    mid_positions = np.empty((k_steps, 3))
+    try:
+        times = np.arange(k_steps + 1) * cfg.dt
+        rotations = np.empty((k_steps + 1, 3, 3))
+        positions = np.empty((k_steps + 1, 3))
+        u_m = np.empty((k_steps, 6))
+        y = np.empty((k_steps, n, 3))
+        imu_body = np.empty((k_steps, m, 3))
 
-    # One draw per noisy scalar, in the same stream order the reference
-    # samplers would consume individually: (omega, v[, features]) for
-    # step k, then step k+1.  Chunked draws read the identical sequence.
-    if cfg.feature_noise_std > 0.0:
-        noise = rng.standard_normal((k_steps, 6 + 3 * n))
-        feat_noise = noise[:, 6:].reshape(k_steps, n, 3).copy()
-    else:
-        noise = rng.standard_normal((k_steps, 6))
-        feat_noise = np.zeros((k_steps, 1, 3))
+        # One draw per noisy scalar, in the same stream order the reference
+        # samplers would consume individually: (omega, v[, features]) for
+        # step k, then step k+1.  Chunked draws read the identical sequence.
+        if cfg.feature_noise_std > 0.0:
+            noise = rng.standard_normal((k_steps, 6 + 3 * n))
+            feat_noise = noise[:, 6:].reshape(k_steps, n, 3).copy()
+        else:
+            noise = rng.standard_normal((k_steps, 6))
+            feat_noise = np.zeros((k_steps, 1, 3))
+    except MemoryError:
+        raise steps_do_not_fit(k_steps) from None
     to_kernel = _kernels.to_kernel
     _kernels.world_trace(
         to_kernel(cfg.init_rotation.ravel()), to_kernel(cfg.init_position),
@@ -323,7 +329,7 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
         float(cfg.noise_std_omega), float(cfg.noise_std_v), float(cfg.feature_noise_std),
         np.ascontiguousarray(noise[:, :6]), feat_noise, float(cfg.dt), k_steps,
         rotations.reshape(k_steps + 1, 9), positions, u_m, y.reshape(k_steps, 3 * n),
-        imu_body.reshape(k_steps, 3 * m), mid_rotations.reshape(k_steps, 9), mid_positions,
+        imu_body.reshape(k_steps, 3 * m),
     )
 
     return WorldTrace(
@@ -336,6 +342,4 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
         y=y,
         imu_ref=refs,
         imu_body=imu_body,
-        mid_rotations=mid_rotations,
-        mid_positions=mid_positions,
     )

@@ -311,6 +311,11 @@ def sample_imu(state: TrueState, cfg: WorldConfig,
 
 
 def measurement_state(trace: WorldTrace, k: int) -> TrueState:
-    """Truth at the midpoint of interval k, where record k is sampled."""
-    return TrueState(Pose(trace.mid_rotations[k], trace.mid_positions[k]), trace.landmarks,
-                     t=float(trace.times[k]) + 0.5 * trace.cfg.dt)
+    """Truth at the midpoint of interval k, where record k is sampled:
+    the truth at instant k carried over dt/2 by the quarter-interval
+    twist, as ``simulate_world`` does."""
+    cfg = trace.cfg
+    t = float(trace.times[k])
+    u_quarter = Twist(profile_at(cfg.omega_true, t + cfg.dt / 4),
+                      profile_at(cfg.v_true, t + cfg.dt / 4))
+    return propagate_true(trace.true_state(k), u_quarter, cfg.dt / 2)

@@ -36,7 +36,7 @@ def warmed_up(phase_times) -> bool:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for name in ("basic", "imu", "imu_quat"):
-            run_filter(trace, tiny, name, record_lyap=True, record_trajectory=True)
+            run_filter(trace, tiny, name)
     phase_times["warmup"] = time.perf_counter() - start
     return True
 
@@ -88,23 +88,28 @@ def noisy_imu(noisy_trace, climb_rc):
 
 @pytest.fixture(scope="session")
 def clean_basic(clean_trace, clean_rc):
-    return run_filter(clean_trace, clean_rc, "basic", record_lyap=True)
+    return run_filter(clean_trace, clean_rc, "basic")
 
 
 @pytest.fixture(scope="session")
 def clean_imu(clean_trace, clean_rc):
-    return run_filter(clean_trace, clean_rc, "imu", record_lyap=True, record_trajectory=True)
+    return run_filter(clean_trace, clean_rc, "imu")
 
 
 @pytest.fixture(scope="session")
-def clean_imu_simplified(clean_trace, clean_rc):
-    rc = dataclasses.replace(clean_rc, simplified_form=True)
-    return run_filter(clean_trace, rc, "imu", record_lyap=True)
+def clean_rc_simplified(clean_rc) -> RunConfig:
+    """The clean scenario with the IMU-aided observer in simplified form."""
+    return dataclasses.replace(clean_rc, simplified_form=True)
+
+
+@pytest.fixture(scope="session")
+def clean_imu_simplified(clean_trace, clean_rc_simplified):
+    return run_filter(clean_trace, clean_rc_simplified, "imu")
 
 
 @pytest.fixture(scope="session")
 def clean_imu_quat(clean_trace, clean_rc):
-    return run_filter(clean_trace, clean_rc, "imu_quat", record_trajectory=True)
+    return run_filter(clean_trace, clean_rc, "imu_quat")
 
 
 @pytest.fixture(scope="session")

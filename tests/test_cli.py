@@ -109,6 +109,8 @@ MALFORMED = {
     "flag_text": (_set("simplified_form", "no"), [], "simplified_form"),
     "output_dir_number": (_set("output_dir", 7), [], "output_dir"),
     "negative_seed": (lambda doc: None, ["--seed", "-1"], "--seed"),
+    "steps_beyond_memory": (lambda doc: doc["world"].update(dt=1e-9, duration=1e6), [],
+                            "world.duration"),
 }
 
 
@@ -131,17 +133,28 @@ def test_run_rejects_bad_runs_count(tmp_path, capsys):
     assert "--runs" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_run_divergence_exit_code(tmp_path, capsys, warmed_up):
-    doc = {
+def _diverging_doc() -> dict:
+    return {
         "world": small_world_dict(duration=0.05, noise_std_omega=0.0, noise_std_v=0.0),
         "filter": "basic",
         "gains": {"basic": {"k_w": 1e9, "k_1": 1.0, "gamma": 1.0, "alpha": 1.0}},
     }
-    cfg = _write_config(tmp_path, doc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_divergence_exit_code(tmp_path, capsys, warmed_up):
+    cfg = _write_config(tmp_path, _diverging_doc())
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
     err = capsys.readouterr().err
     assert "non-finite" in err and "step" in err
+
+
+def test_run_multi_seed_reports_every_failed_seed(tmp_path, capsys, warmed_up):
+    cfg = _write_config(tmp_path, _diverging_doc())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "d"), "--runs", "2"]) == 3
+    err = capsys.readouterr().err
+    for seed in (5, 6):
+        assert f"seed {seed}: error: basic: step" in err
 
 
 def test_run_multi_seed(tmp_path, capsys, warmed_up):

@@ -21,6 +21,7 @@ from lieslam.filter_basic import (
     basic_step,
     pack_state,
 )
+from lieslam.harness import lyapunov_steps
 from lieslam.liegroup import Pose, Twist, adjoint_aug, se3_exp
 from lieslam.worldsim import MeasurementBundle
 
@@ -227,7 +228,7 @@ def test_step_rates_by_finite_difference():
     u_m = Twist(rng.standard_normal(3), rng.standard_normal(3))
     m = _bundle(y, u=u_m)
     dt = 1e-9
-    out = basic_step(fs, m, gains, dt, substeps=1)
+    out = basic_step(fs, m, gains, dt)
 
     e = innovation_errors(fs, y)
     w = basic_correction(fs, e, gains)
@@ -286,8 +287,8 @@ def test_step_float_exceptions_raise_divergence(scale, error):
 # ----------------------------------------------------- full-run behaviour
 
 
-def test_energy_never_increases_on_clean_run(clean_basic):
-    rises = np.diff(clean_basic.lyap_steps)
+def test_energy_never_increases_on_clean_run(clean_trace, clean_rc, clean_basic):
+    rises = np.diff(lyapunov_steps(clean_trace, clean_rc, clean_basic))
     assert rises.max() <= 1e-6
 
 
@@ -303,6 +304,6 @@ def test_clean_run_converges(clean_basic):
 
 def test_bias_stays_inside_energy_bound(clean_basic, climb_rc):
     """|b - b-hat| can never exceed sqrt(2 gamma_max L(0))."""
-    bound = np.sqrt(2.0 * climb_rc.gains_basic.gamma.max() * clean_basic.lyap_steps[0])
+    bound = np.sqrt(2.0 * climb_rc.gains_basic.gamma.max() * clean_basic.reports[0].lyap)
     worst = max(r.bias_err for r in clean_basic.reports)
     assert worst < bound

@@ -13,6 +13,7 @@ from lieslam.harness import (
     bundled_config_path,
     compare,
     load_run_config,
+    lyapunov_steps,
     parse_run_config,
     read_csv,
     run,
@@ -187,17 +188,20 @@ def test_run_filter_sampling_grid(warmed_up):
     # stride 100 over 1000 steps: samples at 0, 100, ..., 1000
     assert np.array_equal(result.sample_ks, np.arange(0, 1001, 100))
     assert len(result.states) == len(result.reports) == 11
-    assert result.lyap_steps is None and result.rot_traj is None
+    # the state after every step is kept
+    assert result.rotations.shape == (1001, 3, 3)
+    assert result.biases.shape == (1001, 6)
     assert result.reports[0].t == 0.0
     assert np.isclose(result.reports[-1].t, 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ("basic", "imu"))
+@pytest.mark.parametrize("name", ("basic", "imu", "imu_quat"))
 def test_lyap_steps_match_sampled_reports(name, warmed_up):
     """The per-step candidate and the sampled reports share one error state."""
     rc = parse_run_config(small_run_dict())
-    result = run_filter(simulate_world(rc.world), rc, name, record_lyap=True)
-    assert np.array_equal(result.lyap_steps[result.sample_ks],
+    trace = simulate_world(rc.world)
+    result = run_filter(trace, rc, name)
+    assert np.array_equal(lyapunov_steps(trace, rc, result)[result.sample_ks],
                           [r.lyap for r in result.reports])
 
 

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _support import innovation_errors, random_rotation
 from lieslam.filter_basic import BasicGains, FilterState
 from lieslam.filter_imu import ImuGains, build_kernel
 from lieslam.liegroup import Pose, Twist, so3_exp
 from lieslam.metrics import (
+    error_state,
     evaluate,
     lyapunov_basic,
     lyapunov_imu,
     report_header,
     report_row,
 )
+from lieslam.quaternion import quat_to_rot
 from lieslam.worldsim import TrueState
 
 
@@ -121,6 +126,46 @@ def test_lyapunov_imu_hand_value():
     # the block-summed filter counts the attitude energy once per landmark
     got4 = lyapunov_imu(e, r_tilde, bias_diff, gains, kernel, att_multiplicity=4.0)
     assert np.isclose(got4, 5.0 + 4.0 + 0.02, atol=1e-12)
+
+
+def _floats(shape, low=-100.0, high=100.0):
+    return hnp.arrays(np.float64, shape, elements=st.floats(low, high))
+
+
+@given(steps=st.integers(1, 5), n=st.integers(3, 5), kind=st.sampled_from(("basic", "imu")),
+       data=st.data())
+def test_stacked_record_matches_rows(steps, n, kind, data):
+    """quat_to_rot and error_state over a stack of steps give, bit for
+    bit, what they give on each step alone (the per-step record of a
+    run is converted and evaluated in one call each)."""
+    quats = data.draw(_floats((steps, 4)))
+    rotations = quat_to_rot(quats)
+    for k in range(steps):
+        assert np.array_equal(rotations[k], quat_to_rot(quats[k]))
+
+    truth = TrueState(Pose(quat_to_rot(data.draw(_floats((steps, 4)))),
+                           data.draw(_floats((steps, 3)))),
+                      data.draw(_floats((n, 3))))
+    est = FilterState(Pose(rotations, data.draw(_floats((steps, 3)))),
+                      data.draw(_floats((steps, n, 3))),
+                      Twist(data.draw(_floats((steps, 3))), data.draw(_floats((steps, 3)))))
+    bias_true = Twist(data.draw(_floats(3)), data.draw(_floats(3)))
+    alpha = data.draw(_floats(n, 0.01, 10.0))
+    if kind == "basic":
+        args = (kind, BasicGains(1.0, 1.0, data.draw(_floats(6, 0.01, 100.0)), alpha))
+    else:
+        gains = ImuGains(1.0, 1.0, 1.0, data.draw(_floats(3, 0.01, 100.0)),
+                         data.draw(_floats(3, 0.01, 100.0)), alpha)
+        args = (kind, gains, build_kernel(np.eye(3), np.ones(3)), float(n))
+    stacked = error_state(truth, est, bias_true, *args)
+    for k in range(steps):
+        row = error_state(
+            TrueState(Pose(truth.pose.rotation[k], truth.pose.position[k]), truth.landmarks),
+            FilterState(Pose(est.pose.rotation[k], est.pose.position[k]), est.landmarks[k],
+                        Twist(est.bias.omega[k], est.bias.v[k])),
+            bias_true, *args)
+        for whole, part in zip(stacked, row):
+            assert np.array_equal(whole[k], part)
 
 
 def test_report_header_layout():

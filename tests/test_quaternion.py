@@ -204,7 +204,7 @@ def test_filter_state_round_trip():
     qs = QuatFilterState.from_rotation(
         fs.pose.rotation, fs.pose.position, fs.landmarks, fs.bias
     )
-    assert np.abs(qs.rotation() - fs.pose.rotation).max() < 1e-12
+    assert np.abs(quat_to_rot(qs.q) - fs.pose.rotation).max() < 1e-12
     assert np.array_equal(qs.position, fs.pose.position)
 
 
@@ -237,7 +237,7 @@ def test_step_matches_matrix_filter_over_many_intervals():
         qs = quat_imu_step(qs, m, kernel, gains, 0.001)
     # the transient from a random far-off state is violent, so the two
     # charts accumulate a few 1e-7 of representational difference
-    assert np.abs(qs.rotation() - fs.pose.rotation).max() < 1e-6
+    assert np.abs(quat_to_rot(qs.q) - fs.pose.rotation).max() < 1e-6
     assert np.abs(qs.position - fs.pose.position).max() < 1e-6
     assert np.abs(qs.landmarks - fs.landmarks).max() < 1e-6
     assert np.abs(qs.bias.vector() - fs.bias.vector()).max() < 1e-6

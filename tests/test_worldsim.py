@@ -281,7 +281,7 @@ def _reference_trace(cfg: WorldConfig):
     rng = np.random.default_rng(cfg.rng_seed)
     state = initial_true_state(cfg)
     rot, pos = [state.pose.rotation], [state.pose.position]
-    mrot, mpos, u_ms, ys, bodies = [], [], [], [], []
+    u_ms, ys, bodies = [], [], []
     for k in range(cfg.n_steps):
         t = k * cfg.dt
         u_quarter = Twist(profile_at(cfg.omega_true, t + cfg.dt / 4),
@@ -292,14 +292,11 @@ def _reference_trace(cfg: WorldConfig):
         u_ms.append(sample_velocity(u_mid, cfg, rng).vector())
         ys.append(sample_features(mid, cfg, rng))
         bodies.append(sample_imu(mid, cfg, rng)[1])
-        mrot.append(mid.pose.rotation)
-        mpos.append(mid.pose.position)
         state = propagate_true(state, u_mid, cfg.dt)
         rot.append(state.pose.rotation)
         pos.append(state.pose.position)
     return (
-        np.array(rot), np.array(pos), np.array(u_ms), np.array(ys),
-        np.array(bodies), np.array(mrot), np.array(mpos),
+        np.array(rot), np.array(pos), np.array(u_ms), np.array(ys), np.array(bodies),
     )
 
 
@@ -308,21 +305,19 @@ def test_trace_matches_sequential_reference_clean():
         _world_dict(noise_std_omega=0.0, noise_std_v=0.0, duration=0.2)
     )
     trace = simulate_world(cfg)
-    rot, pos, u_m, y, body, mrot, mpos = _reference_trace(cfg)
+    rot, pos, u_m, y, body = _reference_trace(cfg)
     assert np.abs(trace.rotations - rot).max() < 1e-12
     assert np.abs(trace.positions - pos).max() < 1e-12
     assert np.abs(trace.u_m - u_m).max() < 1e-12
     assert np.abs(trace.y - y).max() < 1e-12
     assert np.abs(trace.imu_body - body).max() < 1e-12
-    assert np.abs(trace.mid_rotations - mrot).max() < 1e-12
-    assert np.abs(trace.mid_positions - mpos).max() < 1e-12
 
 
 def test_trace_matches_sequential_reference_noisy():
     """Chunked noise draws must reproduce the per-sampler stream order."""
     cfg = WorldConfig.from_dict(_world_dict(duration=0.1, feature_noise_std=0.05))
     trace = simulate_world(cfg)
-    _, _, u_m, y, _, _, _ = _reference_trace(cfg)
+    _, _, u_m, y, _ = _reference_trace(cfg)
     assert np.abs(trace.u_m - u_m).max() < 1e-12
     assert np.abs(trace.y - y).max() < 1e-12
 
