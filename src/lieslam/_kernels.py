@@ -12,31 +12,59 @@ per-interval parameters, call the kernel once, and unpack the flat
 result.  :func:`world_trace` fills a whole simulated run in one call.
 
 The kernels are scalar by design and are written on local floats and
-fixed-size tuples, one source for two backends:
+fixed-size tuples, one source for three backends, picked in this order
+at import (:data:`BACKEND` names the one bound):
 
-- interpreted: :func:`to_kernel` hands the kernels Python lists built
-  once per step with ``ndarray.tolist``, so every operation is plain
-  float arithmetic instead of numpy scalar indexing;
 - numba: when it imports, every kernel is compiled from this same source
-  with ``@njit``, and :func:`to_kernel` passes contiguous arrays.
+  with ``@njit``, and :func:`to_kernel` passes contiguous arrays;
+- compiled: otherwise ``_ctranslate`` turns the three ``*_sample``
+  kernels, the three ``_*_rates`` and what they call into a C extension,
+  built once into ``$XDG_CACHE_HOME/lieslam`` (``~/.cache/lieslam``)
+  under a key of this file, the translator, ``$CC`` and the Python ABI;
+  those six module attributes are then the compiled functions;
+- interpreted: when no compiler, ``Python.h`` or writable cache is at
+  hand (``BUILD_ERROR`` says which), the kernels run as written here.
+
+Without numba :func:`to_kernel` hands the kernels Python lists built
+once per step with ``ndarray.tolist``, so every operation is plain
+float arithmetic; :data:`PY_FUNC` keeps the Python-float entry points
+as the compiled ones' parity oracle.
 
 Everything here therefore stays inside numba's nopython subset: no
-lambdas, closures, generator expressions or ``*args``.
+lambdas, closures, generator expressions or ``*args``.  The translated
+kernels keep to a smaller subset still: floats and ints, tuples and
+lists of floats or of 3-float rows, the parameter tuples, assignments
+and unpacking, ``+ - * /`` and ``**`` by a positive integer literal,
+comparisons, ``and``/``or``/``not``, ``if``, ``for`` over ``range``,
+list comprehensions over one sequence or a ``zip``, ``append``, ``len``,
+slices, ``sqrt``, ``isfinite`` and calls of the kernels themselves
+(a kernel passed as an argument, like ``_rk4``'s ``rates``, is
+specialised at compile time).
 
 The output bytes are part of the contract, so every law keeps its float
 operations and their order: ``x ** 2`` (not ``x * x``), the groupings as
 written (e.g. ``scale * (k_w / tau) * half``), accumulations from 0.0 in
 a fixed order, no dot products, ``sum`` or ``fsum`` reordering, and
-``np.sin``/``np.cos`` where the world trace needs them.
+``np.sin``/``np.cos`` where the world trace needs them.  The C build
+keeps them too: no FMA contraction, libm ``pow`` and ``sqrt``.
 
 Python floats raise ``OverflowError`` on a finite overflow in ``**`` and
 ``ZeroDivisionError`` on ``/ 0.0``, where numpy returned inf or nan; the
-step boundary (``filter_basic.run_sample``) reports both as divergence.
+compiled kernels raise the same two (and ``ValueError`` where
+``math.sqrt`` would), for the first such operation in Python's order.
+The step boundary (``filter_basic.run_sample``) reports both as
+divergence.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import zlib
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from math import isfinite, sqrt
+from types import FunctionType
 
 import numpy as np
 
@@ -681,3 +709,59 @@ def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
 
     _store(rotations, k_steps, r)
     _store(positions, k_steps, p)
+
+
+# ------------------------------------------------------------------ backends
+
+_COMPILED = ("_basic_rates", "basic_sample", "_imu_rates", "imu_sample",
+             "_quat_rates", "quat_sample")
+
+
+def _python_floats() -> dict:
+    """The Python-float entry points, in a snapshot of this namespace in
+    which the samples still call the Python rates."""
+    namespace = dict(globals())
+    funcs = {name: FunctionType(namespace[name].__code__, namespace, name)
+             for name in _COMPILED}
+    namespace.update(funcs)
+    return funcs
+
+
+def _compiled():
+    """(extension module, None), built on a cache miss, or (None, why not).
+
+    The hit path reads three files and loads the extension; only a miss
+    imports the translator and runs the compiler.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    cc = os.environ.get("CC") or "cc"
+    key = f"{cc}\0{EXTENSION_SUFFIXES[0]}\0{sys.version}".encode()
+    crc, adler = zlib.crc32(key), zlib.adler32(key)
+    for name in ("_kernels.py", "_ctranslate.py", "_cprelude.h"):
+        with open(os.path.join(here, name), "rb") as f:
+            data = f.read()
+        crc, adler = zlib.crc32(data, crc), zlib.adler32(data, adler)
+    module = f"lieslam_kernels_{crc:08x}{adler:08x}"
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(cache, "lieslam", module + EXTENSION_SUFFIXES[0])
+    try:
+        if not os.path.exists(path):
+            from . import _ctranslate
+            _ctranslate.build(os.path.join(here, "_kernels.py"), path, module, cc)
+        loader = ExtensionFileLoader(module, path)
+        ext = module_from_spec(spec_from_loader(module, loader))
+        loader.exec_module(ext)
+    except (ImportError, OSError) as exc:  # _ctranslate.BuildError is an ImportError
+        return None, str(exc)
+    return ext, None
+
+
+if JIT:
+    BACKEND, BUILD_ERROR = "numba", None
+    PY_FUNC = {name: globals()[name].py_func for name in _COMPILED}
+else:
+    PY_FUNC = _python_floats()
+    _ext, BUILD_ERROR = _compiled()
+    BACKEND = "interpreted" if _ext is None else "compiled"
+    if _ext is not None:
+        globals().update({name: getattr(_ext, name) for name in _COMPILED})

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +49,8 @@ def _seed_worker(rc: RunConfig, seed: int) -> None:
 def _run_seeds(rc: RunConfig, runs: int) -> int:
     """Run consecutive seeds in a worker pool and report each one; the
     exit code is the worst over the seeds."""
+    from concurrent.futures import ProcessPoolExecutor  # costs ~10 ms; single runs skip it
+
     seeds = [rc.world.rng_seed + i for i in range(runs)]
     code = 0
     with ProcessPoolExecutor(max_workers=min(runs, 8)) as pool:

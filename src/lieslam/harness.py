@@ -186,6 +186,12 @@ def bundled_config_path(name: str) -> Path:
     return Path(__file__).parent / "configs" / name
 
 
+def _read_error(exc: OSError | UnicodeDecodeError) -> str:
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8 text (byte {exc.start})"
+    return exc.strerror or str(exc)
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     """Load and validate a JSON run config from disk.
 
@@ -200,9 +206,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         else:
             raise ConfigError(f"{path}: no such config file")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{p}: cannot read the config: {_read_error(exc)}") from None
     try:
         return parse_run_config(raw, base_dir=Path.cwd())
     except ConfigError as exc:
@@ -419,7 +427,10 @@ def run(rc: RunConfig, suffix: str = "", seed: int | None = None) -> RunArtifact
 
 def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read one of our CSVs: (header columns, float data (rows, cols))."""
-    text = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {_read_error(exc)}") from None
     if not text:
         raise ConfigError(f"{path}: empty file")
     header = text[0].split(",")

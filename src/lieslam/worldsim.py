@@ -55,6 +55,8 @@ def floats(raw, key: str) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected numbers") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key}: expected finite numbers") from None
     if not np.isfinite(arr).all():
         raise ConfigError(f"{key}: expected finite numbers")
     return arr

@@ -111,6 +111,9 @@ MALFORMED = {
     "negative_seed": (lambda doc: None, ["--seed", "-1"], "--seed"),
     "steps_beyond_memory": (lambda doc: doc["world"].update(dt=1e-9, duration=1e6), [],
                             "world.duration"),
+    # found by test_any_edit_of_a_config_gives_config_or_config_error
+    "integer_beyond_float_range": (_set("gains", "basic", "alpha", 10**400), [],
+                                   "gains.basic.alpha"),
 }
 
 
@@ -125,6 +128,20 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, case):
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *args]) == 2
     assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ("directory", "not_utf8"))
+def test_run_unreadable_config_exits_2(tmp_path, capsys, case):
+    cfg = tmp_path / "cfg.json"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(json.dumps(small_run_dict(output_dir="caf\u00e9"),
+                                   ensure_ascii=False).encode("latin-1"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: cannot read the config" in err
+    assert "Traceback" not in err
 
 
 def test_run_rejects_bad_runs_count(tmp_path, capsys):
@@ -203,6 +220,15 @@ def test_compare_missing_file(tmp_path, capsys):
     p.write_text("t\n0.0\n")
     assert main(["compare", str(p), str(tmp_path / "missing.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_compare_not_utf8_csv_exits_2(tmp_path, capsys):
+    p = tmp_path / "x.csv"
+    p.write_text("t\n0.0\n")
+    q = tmp_path / "y.csv"
+    q.write_bytes("t\u00e9\n0.0\n".encode("latin-1"))
+    assert main(["compare", str(p), str(q)]) == 2
+    assert f"error: {q}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_compare_schema_mismatch(tmp_path, capsys):

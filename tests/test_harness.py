@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import small_run_dict, small_world_dict
 from lieslam.harness import (
@@ -25,6 +27,68 @@ from lieslam.worldsim import ConfigError, simulate_world
 
 
 # ------------------------------------------------------------------ parsing
+
+# any JSON value json.loads can return: NaN and the infinities included,
+# and integers too large for a float
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers() | st.sampled_from((10**400, -(10**400))),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _parses_or_config_error(doc):
+    try:
+        rc = parse_run_config(doc)
+    except ConfigError:
+        return
+    assert rc.filters()
+
+
+def _paths(doc, prefix=()):
+    """Key paths of every value nested in doc."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _full_run_dict() -> dict:
+    """The bundled climb with every optional key of the schema set."""
+    doc = json.loads(bundled_config_path("square_climb").read_text())
+    doc["init"] = {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "position": [0, 0, 1],
+                   "landmarks": [[1, 1, 0]] * 4, "bias": [0] * 6}
+    doc.update(sample_stride=10, simplified_form=False, output_dir="out")
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON)
+def test_any_json_document_gives_config_or_config_error(doc):
+    _parses_or_config_error(doc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), value=_JSON, delete=st.booleans())
+def test_any_edit_of_a_config_gives_config_or_config_error(data, value, delete):
+    """One value anywhere in a complete config replaced by any JSON
+    value, or its key removed."""
+    doc = _full_run_dict()
+    *parent_path, last = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    parent = doc
+    for key in parent_path:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[last]
+    else:
+        parent[last] = value
+    _parses_or_config_error(doc)
+
 
 
 def test_parse_minimal_config_defaults():

@@ -1,19 +1,29 @@
-"""The compiled-or-interpreted kernels against the numpy forms of the laws.
+"""The bound kernels against the numpy forms of the laws, and the
+compiled build against the Python-float source.
 
 The rates kernels are called exactly as the step functions call them
 (flat state from ``pack_state``, parameters from the step's own
 packing) and compared with the reference corrections in ``_support``
-plus the kinematics at a relative tolerance of 1e-12.  A byte-identity guard pins the CSV
-digests of two short bundled runs on the interpreted backend.
+plus the kinematics at a relative tolerance of 1e-12.  On the compiled
+backend a property test holds every compiled function to its Python
+original bit for bit.  A byte-identity guard pins the CSV digests of
+two short bundled runs on the Python-float arithmetic (interpreted or
+compiled).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _support import (
     attitude_gain_divisor,
     attitude_terms,
@@ -31,7 +41,7 @@ from _support import (
     rotate_by_quat,
 )
 
-from lieslam import _kernels
+from lieslam import _ctranslate, _kernels
 from lieslam.cli import main
 from lieslam.filter_basic import BasicGains, FilterState, basic_params, pack_state
 from lieslam.filter_imu import ImuGains, build_kernel, imu_params
@@ -179,6 +189,119 @@ def test_njit_matches_python_source(n):
                             (_kernels.imu_sample, x, params),
                             (_kernels.quat_sample, xq, params)):
         _close(fn(state, args, 0.001, 2), fn.py_func(state, args, 0.001, 2))
+
+
+def _outcome(fn, *args):
+    """float64 bit patterns of a kernel's result, every NaN read as one
+    (IEEE 754 leaves a NaN's sign and payload open, and a C compiler may
+    swap the operands of + and *, which picks them), or the type of the
+    exception it raised."""
+    try:
+        out = np.array(fn(*args), dtype=float)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+    out[np.isnan(out)] = np.nan
+    return out.view(np.uint64).tolist()
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1), simplified=st.booleans(),
+       nsub=st.integers(1, 2), size=st.floats(-3.0, 3.0),
+       attitude=st.sampled_from((0.0, 1e160)) | st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+def test_compiled_kernels_match_python_floats(n, seed, simplified, nsub, size, attitude):
+    """Every compiled rates and sample function against its Python-float
+    original on random states of magnitude 10**size, the attitude block
+    scaled off the rotation group (0 and 1e160 make the float kernels
+    raise, see the *_float_exceptions_raise_divergence tests)."""
+    fs, m, kernel, basic, gains = _case(seed, n)
+    mag = 10.0 ** size
+    m = MeasurementBundle(u_m=Twist(m.u_m.omega, m.u_m.v * mag), y=m.y * mag,
+                          imu_ref=m.imu_ref, imu_body=m.imu_body, t=0.0)
+    position, landmarks = fs.pose.position * mag, fs.landmarks * mag
+    q = QuatFilterState.from_rotation(fs.pose.rotation, position, landmarks, fs.bias).q
+    x = pack_state(fs.pose.rotation * attitude, position, fs.bias, landmarks)
+    xq = pack_state(q * attitude, position, fs.bias, landmarks)
+    imu = imu_params(m, kernel, gains, 1.0 if simplified else float(n))
+    for name, state, params in (("basic", x, basic_params(m, basic)), ("imu", x, imu),
+                                ("quat", xq, imu)):
+        for fn, args in ((f"_{name}_rates", ()), (f"{name}_sample", (0.001, nsub))):
+            compiled, original = getattr(_kernels, fn), _kernels.PY_FUNC[fn]
+            assert compiled is not original
+            assert _outcome(compiled, state, params, *args) == \
+                _outcome(original, state, params, *args), fn
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+def test_compiled_kernel_called_while_converting_arguments():
+    """A call made from an argument's __float__, in the middle of another
+    call's conversion, keeps both calls' lists apart."""
+    fs, m, kernel, _, gains = _case(600, 4)
+    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+    params = imu_params(m, kernel, gains, 4.0)
+    other = [2.0 * v for v in x]
+    nested = []
+
+    class Reentrant:
+        def __float__(self):
+            nested.append(_kernels.imu_sample(other, params, 0.001, 1))
+            return params[7]
+
+    # k_w, converted after x and the measurement rows
+    got = _kernels.imu_sample(x, params[:7] + (Reentrant(),) + params[8:], 0.001, 1)
+    assert nested == [_kernels.imu_sample(other, params, 0.001, 1)]
+    assert got == _kernels.imu_sample(x, params, 0.001, 1)
+
+
+@pytest.mark.parametrize("line", (
+    "while x > 0.0: x = x - 1.0",   # a loop other than for/range
+    "x = x % 2.0",                  # an operator CPython and C disagree on
+    "x = x ** 0.5",                 # a power other than a positive integer
+    "x = abs(x)",                   # a call of anything but a kernel
+    "x = x if x else 1.0",          # a conditional expression
+    "x = [x, x][0:1:1]",            # a stepped slice
+    "x.append(x)",                  # append to a float
+))
+def test_translator_rejects_code_outside_its_subset(line):
+    source = f"def f(x):\n    {line}\n    return x\n"
+    with pytest.raises(_ctranslate.BuildError, match="outside the translated subset"):
+        _ctranslate._Translator(source).specialise("f", ("F",))
+
+
+def _import_kernels(env: dict, *checks: str) -> subprocess.CompletedProcess:
+    """Import lieslam.cli in a fresh interpreter with warnings as errors
+    and print the given expressions."""
+    code = "import sys, types; import lieslam.cli; from lieslam import _kernels; " + \
+        "; ".join(f"print({c})" for c in checks)
+    src = str(Path(_kernels.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=300)
+
+
+@pytest.mark.skipif(_kernels.JIT, reason="numba takes precedence over the C build")
+def test_failed_build_keeps_python_floats(tmp_path):
+    out = _import_kernels(dict(os.environ, CC="false", XDG_CACHE_HOME=str(tmp_path)),
+                          "_kernels.BACKEND",
+                          "all(isinstance(getattr(_kernels, f), types.FunctionType) "
+                          "for f in _kernels.PY_FUNC)",
+                          "_kernels.BUILD_ERROR")
+    assert out.returncode == 0 and out.stderr == ""
+    backend, python_bound, why = out.stdout.splitlines()
+    assert (backend, python_bound) == ("interpreted", "True")
+    assert why.startswith("false exited with status 1")
+    assert not list(tmp_path.rglob("*.so"))
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+def test_cached_build_loads_without_translator():
+    """A warm cache loads the extension without importing the translator,
+    the compiler driver or hashlib (which alone adds ~3.5 MB of RSS)."""
+    out = _import_kernels(dict(os.environ), "_kernels.BACKEND",
+                          "[m for m in ('lieslam._ctranslate', 'hashlib', 'cffi', 'shlex') "
+                          "if m in sys.modules]")
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines() == ["compiled", "[]"]
 
 
 # sha256 of every CSV of two 0.3 s bundled runs, recorded on the
