@@ -4,7 +4,7 @@ Imported only when the compiled kernels are missing from the cache
 (see ``_kernels._compiled``).  The translator reads the kernel source
 with :mod:`ast` and turns each entry point of :data:`ENTRIES`, and every
 kernel function it calls, into C, one specialisation per argument
-types, like numba does.  It accepts only the subset the ``_kernels``
+types.  It accepts only the subset the ``_kernels``
 docstring describes and raises :class:`BuildError` on anything else.
 
 Values are ``double`` (F), ``Py_ssize_t`` (I), C bools (B), flat

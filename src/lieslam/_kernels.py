@@ -12,34 +12,30 @@ per-interval parameters, call the kernel once, and unpack the flat
 result.  :func:`world_trace` fills a whole simulated run in one call.
 
 The kernels are scalar by design and are written on local floats and
-fixed-size tuples, one source for three backends, picked in this order
-at import (:data:`BACKEND` names the one bound):
+fixed-size tuples, one source for two builds, picked at import
+(:data:`BACKEND` names the one bound):
 
-- numba: when it imports, every kernel is compiled from this same source
-  with ``@njit``, and :func:`to_kernel` passes contiguous arrays;
-- compiled: otherwise ``_ctranslate`` turns the three ``*_sample``
-  kernels, the three ``_*_rates`` and what they call into a C extension,
-  built once into ``$XDG_CACHE_HOME/lieslam`` (``~/.cache/lieslam``)
-  under a key of this file, the translator, ``$CC`` and the Python ABI;
-  those six module attributes are then the compiled functions;
+- compiled: ``_ctranslate`` turns the three ``*_sample`` kernels, the
+  three ``_*_rates`` and what they call into a C extension, built once
+  into ``$XDG_CACHE_HOME/lieslam`` (``~/.cache/lieslam``) under a key of
+  this file, the translator, ``$CC`` and the Python ABI; those six
+  module attributes are then the compiled functions;
 - interpreted: when no compiler, ``Python.h`` or writable cache is at
   hand (``BUILD_ERROR`` says which), the kernels run as written here.
 
-Without numba :func:`to_kernel` hands the kernels Python lists built
-once per step with ``ndarray.tolist``, so every operation is plain
-float arithmetic; :data:`PY_FUNC` keeps the Python-float entry points
-as the compiled ones' parity oracle.
+Callers hand the kernels Python lists built once per step with
+``ndarray.tolist``, so every operation is plain float arithmetic;
+:data:`PY_FUNC` keeps the Python-float entry points as the compiled
+ones' parity oracle.
 
-Everything here therefore stays inside numba's nopython subset: no
-lambdas, closures, generator expressions or ``*args``.  The translated
-kernels keep to a smaller subset still: floats and ints, tuples and
-lists of floats or of 3-float rows, the parameter tuples, assignments
-and unpacking, ``+ - * /`` and ``**`` by a positive integer literal,
-comparisons, ``and``/``or``/``not``, ``if``, ``for`` over ``range``,
-list comprehensions over one sequence or a ``zip``, ``append``, ``len``,
-slices, ``sqrt``, ``isfinite`` and calls of the kernels themselves
-(a kernel passed as an argument, like ``_rk4``'s ``rates``, is
-specialised at compile time).
+The translated kernels keep to a subset of Python: floats and ints,
+tuples and lists of floats or of 3-float rows, the parameter tuples,
+assignments and unpacking, ``+ - * /`` and ``**`` by a positive integer
+literal, comparisons, ``and``/``or``/``not``, ``if``, ``for`` over
+``range``, list comprehensions over one sequence or a ``zip``,
+``append``, ``len``, slices, ``sqrt``, ``isfinite`` and calls of the
+kernels themselves (a kernel passed as an argument, like ``_rk4``'s
+``rates``, is specialised at compile time).
 
 The output bytes are part of the contract, so every law keeps its float
 operations and their order: ``x ** 2`` (not ``x * x``), the groupings as
@@ -68,26 +64,6 @@ from types import FunctionType
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:
-    JIT = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-    def to_kernel(a: np.ndarray) -> list:
-        """Kernel input from an array: nested Python lists of floats."""
-        return a.tolist()
-else:
-    JIT = True
-
-    def to_kernel(a: np.ndarray) -> np.ndarray:
-        """Kernel input from an array: contiguous float64 for numba."""
-        return np.ascontiguousarray(a, dtype=np.float64)
-
 # Floor for the attitude gain divisor: keeps the correction finite on the
 # antipodal set where lambda_min * (1 + pi) -> 0.
 TAU_FLOOR = 1e-6
@@ -106,13 +82,11 @@ _Q_BIAS = 7
 _Q_LM = 13
 
 
-@njit(cache=True)
 def _axpy(x, c, k):
     """x + c * k, element by element."""
     return [a + c * d for a, d in zip(x, k)]
 
 
-@njit(cache=True)
 def _rk4(rates, x, params, h):
     """One classical fourth-order step of length h of dx/dt = rates(x, params)."""
     c = 0.5 * h
@@ -125,7 +99,6 @@ def _rk4(rates, x, params, h):
             for a, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
 
 
-@njit(cache=True)
 def _renormalize(x):
     """Conditional modified Gram-Schmidt over the rows of the rotation
     held in x[:9]; returns x itself when the drift is within tolerance."""
@@ -162,7 +135,6 @@ def _renormalize(x):
     return [r00, r01, r02, r10, r11, r12, r20 / s, r21 / s, r22 / s] + x[_POS:]
 
 
-@njit(cache=True)
 def _gain_divisor(a, b, lam_min):
     """lambda_min * (1 + tr(a b^-1)), floored at TAU_FLOOR on the
     antipodal set and when b is singular or ill-conditioned (numpy
@@ -200,7 +172,6 @@ def _gain_divisor(a, b, lam_min):
     return tau
 
 
-@njit(cache=True)
 def _direction_terms(vh, refs, body, w, lam_min):
     """Half attitude innovation sum_j (w_j / 2) vh_j x body_j and the
     gain divisor tau, from the estimated directions vh_j (reference j
@@ -246,7 +217,6 @@ def _direction_terms(vh, refs, body, w, lam_min):
     return h0, h1, h2, tau
 
 
-@njit(cache=True)
 def _imu_rates(x, params):
     """Continuous rates of the IMU-aided observer at one flat state.
 
@@ -324,7 +294,6 @@ def _imu_rates(x, params):
     ] + lm_dot
 
 
-@njit(cache=True)
 def imu_sample(x, params, dt, nsub):
     """One measurement interval of the IMU-aided observer (RK4)."""
     h = dt / nsub
@@ -334,7 +303,6 @@ def imu_sample(x, params, dt, nsub):
     return _renormalize(state)
 
 
-@njit(cache=True)
 def _basic_rates(x, params):
     """Continuous rates of the feature-only observer at one flat state.
 
@@ -422,7 +390,6 @@ def _basic_rates(x, params):
     ] + lm_dot
 
 
-@njit(cache=True)
 def basic_sample(x, params, dt, nsub):
     """One measurement interval of the feature-only observer (RK4)."""
     h = dt / nsub
@@ -432,7 +399,6 @@ def basic_sample(x, params, dt, nsub):
     return _renormalize(state)
 
 
-@njit(cache=True)
 def _quat_rotate(q, x):
     """Conjugation q (x) (0, x) (x) q^-1 in expanded form; q a 4-tuple,
     x a 3-vector, result a 3-tuple."""
@@ -446,7 +412,6 @@ def _quat_rotate(q, x):
             x2 + 2.0 * (q0 * tz + q1 * ty - q2 * tx))
 
 
-@njit(cache=True)
 def _quat_rates(x, params):
     """Continuous rates of the quaternion build of the IMU observer.
 
@@ -524,7 +489,6 @@ def _quat_rates(x, params):
     ] + lm_dot
 
 
-@njit(cache=True)
 def quat_sample(x, params, dt, nsub):
     """One measurement interval of the quaternion observer (RK4), with
     the quaternion renormalized after every substep."""
@@ -538,7 +502,6 @@ def quat_sample(x, params, dt, nsub):
     return state
 
 
-@njit(cache=True)
 def _exp_step(r, p, om, v, h):
     """Advance (r, p) by the twist (om, v) held for h seconds.
 
@@ -609,14 +572,6 @@ def _exp_step(r, p, om, v, h):
              p2 + r20 * t0 + r21 * t1 + r22 * tz))
 
 
-@njit(cache=True)
-def _store(out, k, values):
-    """out[k, :] = values, entry by entry."""
-    for j in range(len(values)):
-        out[k, j] = values[j]
-
-
-@njit(cache=True)
 def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
                 std_om, std_v, std_feat, vel_noise, feat_noise, dt, k_steps,
                 rotations, positions, u_m, y, imu_body):
@@ -638,26 +593,26 @@ def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
     v_s0, v_s1, v_s2 = v_s
     bo0, bo1, bo2 = bias_om
     bv0, bv1, bv2 = bias_v
-    r = (r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7], r0[8])
-    p = (p0[0], p0[1], p0[2])
+    r = tuple(r0)
+    p = tuple(p0)
     feat = std_feat > 0.0
     m = len(refs)
     for k in range(k_steps):
-        _store(rotations, k, r)
-        _store(positions, k, p)
+        rotations[k] = r
+        positions[k] = p
 
         t_mid = (k + 0.5) * dt
         t_quarter = (k + 0.25) * dt
         om_true = (om_c0 + om_s0 * t_mid, om_c1 + om_s1 * t_mid, om_c2 + om_s2 * t_mid)
         v_true = (v_c0 + v_s0 * t_mid, v_c1 + v_s1 * t_mid, v_c2 + v_s2 * t_mid)
-        _store(u_m, k, (
+        u_m[k] = (
             om_true[0] + bo0 + std_om * float(vel_noise[k, 0]),
             om_true[1] + bo1 + std_om * float(vel_noise[k, 1]),
             om_true[2] + bo2 + std_om * float(vel_noise[k, 2]),
             v_true[0] + bv0 + std_v * float(vel_noise[k, 3]),
             v_true[1] + bv1 + std_v * float(vel_noise[k, 4]),
             v_true[2] + bv2 + std_v * float(vel_noise[k, 5]),
-        ))
+        )
 
         rm, pm = _exp_step(r, p, (om_c0 + om_s0 * t_quarter,
                                   om_c1 + om_s1 * t_quarter,
@@ -707,8 +662,8 @@ def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
 
         r, p = _exp_step(r, p, om_true, v_true, dt)
 
-    _store(rotations, k_steps, r)
-    _store(positions, k_steps, p)
+    rotations[k_steps] = r
+    positions[k_steps] = p
 
 
 # ------------------------------------------------------------------ backends
@@ -756,12 +711,8 @@ def _compiled():
     return ext, None
 
 
-if JIT:
-    BACKEND, BUILD_ERROR = "numba", None
-    PY_FUNC = {name: globals()[name].py_func for name in _COMPILED}
-else:
-    PY_FUNC = _python_floats()
-    _ext, BUILD_ERROR = _compiled()
-    BACKEND = "interpreted" if _ext is None else "compiled"
-    if _ext is not None:
-        globals().update({name: getattr(_ext, name) for name in _COMPILED})
+PY_FUNC = _python_floats()
+_ext, BUILD_ERROR = _compiled()
+BACKEND = "interpreted" if _ext is None else "compiled"
+if _ext is not None:
+    globals().update({name: getattr(_ext, name) for name in _COMPILED})

@@ -68,11 +68,10 @@ DEFAULT_SUBSTEPS = 2
 
 
 def pack_state(attitude: np.ndarray, position: np.ndarray, bias: Twist,
-               landmarks: np.ndarray) -> list | np.ndarray:
-    """Flat kernel state: attitude, position, bias, then landmark rows
-    (see ``_kernels.to_kernel`` for the container)."""
-    return _kernels.to_kernel(np.concatenate((
-        attitude.ravel(), position, bias.omega, bias.v, landmarks.ravel())))
+               landmarks: np.ndarray) -> list:
+    """Flat kernel state: attitude, position, bias, then landmark rows."""
+    return np.concatenate((
+        attitude.ravel(), position, bias.omega, bias.v, landmarks.ravel())).tolist()
 
 
 def run_sample(sample, x, params, dt: float, substeps: int, what: str) -> np.ndarray:
@@ -124,9 +123,8 @@ def basic_step(fs: FilterState, m: MeasurementBundle, gains: BasicGains,
 
 def basic_params(m: MeasurementBundle, gains: BasicGains) -> tuple:
     """Per-interval parameters of ``_kernels._basic_rates``."""
-    to_kernel = _kernels.to_kernel
     return (
-        to_kernel(m.y), to_kernel(m.u_m.omega), to_kernel(m.u_m.v),
-        float(gains.k_w), float(gains.k_1), to_kernel(gains.gamma),
-        to_kernel(1.0 / gains.alpha),
+        m.y.tolist(), m.u_m.omega.tolist(), m.u_m.v.tolist(),
+        float(gains.k_w), float(gains.k_1), gains.gamma.tolist(),
+        (1.0 / gains.alpha).tolist(),
     )

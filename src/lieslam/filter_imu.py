@@ -135,12 +135,11 @@ def imu_step(fs: FilterState, m: MeasurementBundle, kernel: AttitudeKernel,
 def imu_params(m: MeasurementBundle, kernel: AttitudeKernel, gains: ImuGains,
                scale: float) -> tuple:
     """Per-interval parameters of ``_kernels._imu_rates``/``_quat_rates``."""
-    to_kernel = _kernels.to_kernel
     return (
-        to_kernel(m.y), to_kernel(m.imu_ref), to_kernel(m.imu_body),
-        to_kernel(kernel.weights), float(kernel.lambda_min),
-        to_kernel(m.u_m.omega), to_kernel(m.u_m.v),
+        m.y.tolist(), m.imu_ref.tolist(), m.imu_body.tolist(),
+        kernel.weights.tolist(), float(kernel.lambda_min),
+        m.u_m.omega.tolist(), m.u_m.v.tolist(),
         float(gains.k_w), float(gains.k_1), float(gains.k_2),
-        to_kernel(gains.gamma_1), to_kernel(gains.gamma_2),
-        to_kernel(1.0 / gains.alpha), scale,
+        gains.gamma_1.tolist(), gains.gamma_2.tolist(),
+        (1.0 / gains.alpha).tolist(), scale,
     )

@@ -155,14 +155,6 @@ class Pose:
         return self.rotation @ np.asarray(x, dtype=float) + self.position
 
 
-@dataclass(frozen=True)
-class SlamState:
-    """A pose together with the landmark set it is estimated against."""
-
-    pose: Pose
-    landmarks: np.ndarray  # (n, 3)
-
-
 def wedge(u: Twist) -> np.ndarray:
     """4x4 algebra element [[skew(omega), v], [0, 0]] of a twist."""
     m = np.zeros((4, 4))

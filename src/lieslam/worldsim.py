@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .liegroup import Pose, SlamState, Twist
+from .liegroup import Pose, Twist
 
 # Configured reference directions closer than this angle (radians) cannot
 # span a triad and are rejected at config time.
@@ -49,8 +49,23 @@ class LinearProfile:
         return cls(_vec3(raw, key), np.zeros(3))
 
 
+def _has_text_or_bool(raw) -> bool:
+    """Whether a string or a boolean sits anywhere in a JSON value;
+    numpy would read "5" and true as the numbers 5 and 1."""
+    stack = [raw]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (str, bool)):
+            return True
+        if isinstance(item, list):
+            stack.extend(item)
+    return False
+
+
 def floats(raw, key: str) -> np.ndarray:
     """The finite numbers of a JSON value, as a float array."""
+    if _has_text_or_bool(raw):
+        raise ConfigError(f"{key}: expected numbers")
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
@@ -194,9 +209,11 @@ class WorldConfig:
 
 
 @dataclass(frozen=True)
-class TrueState(SlamState):
+class TrueState:
     """Ground-truth pose + (static) landmarks at time t."""
 
+    pose: Pose
+    landmarks: np.ndarray  # (n, 3)
     t: float = 0.0
 
 
@@ -321,13 +338,12 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
             feat_noise = np.zeros((k_steps, 1, 3))
     except MemoryError:
         raise steps_do_not_fit(k_steps) from None
-    to_kernel = _kernels.to_kernel
     _kernels.world_trace(
-        to_kernel(cfg.init_rotation.ravel()), to_kernel(cfg.init_position),
-        to_kernel(cfg.landmarks), to_kernel(refs),
-        to_kernel(cfg.omega_true.const), to_kernel(cfg.omega_true.slope),
-        to_kernel(cfg.v_true.const), to_kernel(cfg.v_true.slope),
-        to_kernel(cfg.bias_omega), to_kernel(cfg.bias_v),
+        cfg.init_rotation.ravel().tolist(), cfg.init_position.tolist(),
+        cfg.landmarks.tolist(), refs.tolist(),
+        cfg.omega_true.const.tolist(), cfg.omega_true.slope.tolist(),
+        cfg.v_true.const.tolist(), cfg.v_true.slope.tolist(),
+        cfg.bias_omega.tolist(), cfg.bias_v.tolist(),
         float(cfg.noise_std_omega), float(cfg.noise_std_v), float(cfg.feature_noise_std),
         np.ascontiguousarray(noise[:, :6]), feat_noise, float(cfg.dt), k_steps,
         rotations.reshape(k_steps + 1, 9), positions, u_m, y.reshape(k_steps, 3 * n),

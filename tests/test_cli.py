@@ -92,6 +92,10 @@ MALFORMED = {
     "dt_nan": (_set("world", "dt", float("nan")), [], "world.dt"),
     "duration_inf": (_set("world", "duration", float("inf")), [], "world.duration"),
     "dt_text": (_set("world", "dt", "abc"), [], "world.dt"),
+    "dt_string": (_set("world", "dt", "0.001"), [], "world.dt"),
+    "landmark_bool": (_set("world", "landmarks", [[5, 0, 0], [0, 5, 0], [0, 0, True]]), [],
+                      "world.landmarks"),
+    "gain_bool": (_set("gains", "imu", "k_w", True), [], "gains.imu.k_w"),
     "seed_text": (_set("world", "rng_seed", "x"), [], "world.rng_seed"),
     "stride_text": (_set("sample_stride", "x"), [], "sample_stride"),
     "ragged_landmarks": (_set("world", "landmarks", [[5, 0, 0], [0, 5], [0, 0, 5]]), [],

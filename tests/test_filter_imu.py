@@ -372,7 +372,6 @@ def test_step_divergence_raises():
         imu_step(fs, m, kernel, _gains(4), 0.001)
 
 
-@pytest.mark.skipif(_kernels.JIT, reason="only Python floats raise on a finite overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale,error", ((1e160, OverflowError), (0.0, ZeroDivisionError)))
 def test_step_float_exceptions_raise_divergence(scale, error):

@@ -38,7 +38,9 @@ from _support import (
     quat_omega,
     random_ref_triad,
     random_rotation,
+    random_unit,
     rotate_by_quat,
+    series_exp,
 )
 
 from lieslam import _ctranslate, _kernels
@@ -46,7 +48,7 @@ from lieslam.cli import main
 from lieslam.filter_basic import BasicGains, FilterState, basic_params, pack_state
 from lieslam.filter_imu import ImuGains, build_kernel, imu_params
 from lieslam.harness import bundled_config_path
-from lieslam.liegroup import Pose, Twist, adjoint_aug, skew
+from lieslam.liegroup import Pose, Twist, adjoint_aug, skew, wedge
 from lieslam.quaternion import QuatFilterState
 from lieslam.worldsim import MeasurementBundle
 
@@ -172,23 +174,23 @@ def test_gain_divisor_matches_numpy_guards():
     assert _kernels._gain_divisor(singular, ill, 1.0) == _kernels.TAU_FLOOR
 
 
-@pytest.mark.skipif(not _kernels.JIT, reason="numba is not installed")
-@pytest.mark.parametrize("n", SIZES)
-def test_njit_matches_python_source(n):
-    fs, m, kernel, basic, gains = _case(500 + n, n)
-    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
-    xq = pack_state(QuatFilterState.from_rotation(fs.pose.rotation, fs.pose.position,
-                                                  fs.landmarks, fs.bias).q,
-                    fs.pose.position, fs.bias, fs.landmarks)
-    params = imu_params(m, kernel, gains, float(n))
-    for fn, state, args in ((_kernels._basic_rates, x, basic_params(m, basic)),
-                            (_kernels._imu_rates, x, params),
-                            (_kernels._quat_rates, xq, params)):
-        _close(fn(state, args), fn.py_func(state, args))
-    for fn, state, args in ((_kernels.basic_sample, x, basic_params(m, basic)),
-                            (_kernels.imu_sample, x, params),
-                            (_kernels.quat_sample, xq, params)):
-        _close(fn(state, args, 0.001, 2), fn.py_func(state, args, 0.001, 2))
+# rotation angles on both sides of _exp_step's 1e-6 small-angle switch
+@pytest.mark.parametrize("theta", (0.0, 1e-9, 9e-7, 1.1e-6, 1e-3, 0.5, np.pi))
+def test_exp_step_matches_series(theta):
+    """The world trace's exponential step against criterion 3's series
+    oracle, composed onto the pose it advances."""
+    rng = np.random.default_rng(700)
+    worst = 0.0
+    for _ in range(20):
+        r, p = random_rotation(rng), rng.standard_normal(3) * 2.0
+        h = rng.uniform(0.05, 0.5)
+        om, v = random_unit(rng) * (theta / h), rng.standard_normal(3) * 2.0
+        got_r, got_p = _kernels._exp_step(r.ravel().tolist(), p.tolist(), om.tolist(),
+                                          v.tolist(), h)
+        want = Pose(r, p).matrix() @ series_exp(wedge(Twist(om, v)) * h, 30)
+        worst = max(worst, np.abs(np.reshape(got_r, (3, 3)) - want[:3, :3]).max(),
+                    np.abs(np.subtract(got_p, want[:3, 3])).max())
+    assert worst < 1e-10
 
 
 def _outcome(fn, *args):
@@ -279,7 +281,6 @@ def _import_kernels(env: dict, *checks: str) -> subprocess.CompletedProcess:
                           timeout=300)
 
 
-@pytest.mark.skipif(_kernels.JIT, reason="numba takes precedence over the C build")
 def test_failed_build_keeps_python_floats(tmp_path):
     out = _import_kernels(dict(os.environ, CC="false", XDG_CACHE_HOME=str(tmp_path)),
                           "_kernels.BACKEND",
@@ -322,7 +323,6 @@ DIGESTS = {
 }
 
 
-@pytest.mark.skipif(_kernels.JIT, reason="the digests are those of the interpreted backend")
 @pytest.mark.parametrize("config,filter_kind", sorted(DIGESTS))
 def test_short_runs_are_byte_identical(tmp_path, config, filter_kind):
     doc = json.loads(bundled_config_path(config).read_text())

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _support import random_rotation, series_exp
 from lieslam.liegroup import (
@@ -251,3 +254,27 @@ def test_orthonormalize_restores_rotation():
 def test_rotation_defect_zero_on_exact_rotation():
     assert rotation_defect(np.eye(3)) == 0.0
     assert rotation_defect(np.eye(3) * 1.001) > 1e-3
+
+
+def _vec3(scale):
+    return hnp.arrays(np.float64, 3, elements=st.floats(-scale, scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rot=_vec3(4.0), pose_rot=_vec3(4.0), position=_vec3(5.0), omega=_vec3(5.0),
+       v=_vec3(5.0), y=_vec3(5.0), x=_vec3(5.0))
+def test_criterion_1_identities_on_random_group_elements(rot, pose_rot, position, omega, v,
+                                                         y, x):
+    """Criterion 1's group identities, at its 1e-9 bound, on random
+    rotations, poses and twists: skew realizes the cross product, a
+    rotation conjugates skew, the adjoint agrees with the homogeneous
+    form, and so3_distance has the trace form."""
+    r = so3_exp(rot)
+    t = Pose(so3_exp(pose_rot), position)
+    u = Twist(omega, v)
+    assert np.abs(skew(y) @ x - np.cross(y, x)).max() < 1e-9
+    assert np.abs(skew(r @ y) - r @ skew(y) @ r.T).max() < 1e-9
+    lhs = wedge(Twist.from_vector(adjoint_aug(t) @ u.vector()))
+    rhs = t.matrix() @ wedge(u) @ t.inverse().matrix()
+    assert np.abs(lhs - rhs).max() < 1e-9
+    assert abs((1.0 - so3_distance(r)) - 0.25 * (1.0 + np.trace(r))) < 1e-9

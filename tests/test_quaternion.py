@@ -259,7 +259,6 @@ def test_quat_step_divergence_raises():
         quat_imu_step(qs, bad, kernel, _imu_gains(4), 0.001)
 
 
-@pytest.mark.skipif(_kernels.JIT, reason="only Python floats raise on a finite overflow")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale,error", ((1e160, OverflowError), (0.0, ZeroDivisionError)))
 def test_quat_step_float_exceptions_raise_divergence(scale, error):
