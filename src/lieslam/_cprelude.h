@@ -1,7 +1,7 @@
 /* Fixed part of the C build of the observer kernels: no law lives here.
  *
  * _ctranslate.py prepends this file to the C it generates from
- * _kernels.py.  It holds the value types of the translated code, the
+ * _laws.py.  It holds the value types of the translated code, the
  * per-call arena every list and tuple is allocated from, the float
  * operations that raise in Python (each records the exception CPython
  * would raise and the translated code runs on; the entry point raises

@@ -1,11 +1,12 @@
-"""Translate the observer kernels of ``_kernels.py`` into a C extension.
+"""Translate the observer laws of ``_laws.py`` into a C extension.
 
 Imported only when the compiled kernels are missing from the cache
-(see ``_kernels._compiled``).  The translator reads the kernel source
-with :mod:`ast` and turns each entry point of :data:`ENTRIES`, and every
-kernel function it calls, into C, one specialisation per argument
-types.  It accepts only the subset the ``_kernels``
-docstring describes and raises :class:`BuildError` on anything else.
+(see ``_kernels._compiled``).  :func:`build` reads ``_laws.py``, the
+file ``_kernels`` passes it, parses it with :mod:`ast` and turns each
+entry point of :data:`ENTRIES`, and every kernel function it calls,
+into C, one specialisation per argument types.  It accepts only the
+subset the ``_laws`` docstring describes and raises
+:class:`BuildError` on anything else.
 
 Values are ``double`` (F), ``Py_ssize_t`` (I), C bools (B), flat
 float sequences (S) and rows of 3 floats (R), the last two as
@@ -88,7 +89,7 @@ class _Func:
         self.block(node.body)
 
     def fail(self, node, what: str):
-        raise BuildError(f"_kernels.py:{node.lineno}: {what} is outside the translated subset")
+        raise BuildError(f"_laws.py:{node.lineno}: {what} is outside the translated subset")
 
     def emit(self, line: str):
         self.lines.append("    " * self.depth + line)
@@ -412,10 +413,10 @@ def translate(source: str, module: str) -> str:
                       f"    return PyModule_Create(&def);\n}}\n"])
 
 
-def build(kernels: str, target: str, module: str, cc: str) -> None:
-    """Translate the ``kernels`` source file and compile it with the
-    compiler command ``cc`` into ``target``; the file appears whole or
-    not at all (built beside it, then renamed)."""
+def build(laws: str, target: str, module: str, cc: str) -> None:
+    """Translate the ``laws`` source file (``_laws.py``) and compile it
+    with the compiler command ``cc`` into ``target``; the file appears
+    whole or not at all (built beside it, then renamed)."""
     include = sysconfig.get_paths()["include"]
     if not os.path.isfile(os.path.join(include, "Python.h")):
         raise BuildError(f"no Python.h in {include}")
@@ -423,7 +424,7 @@ def build(kernels: str, target: str, module: str, cc: str) -> None:
         cc_args = shlex.split(cc)
     except ValueError as exc:
         raise BuildError(f"CC={cc!r}: {exc}") from None
-    code = translate(Path(kernels).read_text(), module)
+    code = translate(Path(laws).read_text(), module)
     target = Path(target)
     target.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=target.parent) as tmp:

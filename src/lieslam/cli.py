@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .filter_basic import FilterDivergence
-from .harness import FILTER_CHOICES, RunConfig, compare, load_run_config, run
+from .harness import FILTER_CHOICES, RunConfig, load_run_config, run
 from .worldsim import ConfigError
 
 
@@ -107,6 +107,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .compare import compare  # a run never needs it
+
     try:
         deltas = compare(args.csv_a, args.csv_b)
     except (ConfigError, OSError) as exc:

@@ -13,6 +13,7 @@ each discrete update consumes only sample-k quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ class FilterDivergence(RuntimeError):
     """The estimator produced a non-finite state."""
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     """Estimator state: pose, landmark set, velocity bias."""
 
     pose: Pose

@@ -15,6 +15,7 @@ exactly monotone under matching Lyapunov candidates (see metrics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class ImuGains:
             raise ValueError("alpha must be positive, one entry per landmark")
 
 
-@dataclass(frozen=True)
-class AttitudeKernel:
+class AttitudeKernel(NamedTuple):
     """Second moment of the weighted reference directions.
 
     matrix = sum_j s_j v_j v_j^T, breve = tr(matrix) I - matrix, and

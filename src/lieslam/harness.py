@@ -12,32 +12,30 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .filter_basic import BasicGains, FilterDivergence, FilterState, basic_step
 from .filter_imu import ImuGains, build_kernel, imu_step
-from .liegroup import Pose, Twist, orthonormalize, rotation_defect
-from .metrics import ErrorReport, error_state, evaluate, report_header, report_row
+from .liegroup import Pose, Twist
+from .metrics import ErrorReport, evaluate, report_header, report_row
 from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
 from .worldsim import (
     ConfigError,
-    TrueState,
     WorldConfig,
     WorldTrace,
     floats,
     integer,
+    read_error,
+    rotation,
     scalar,
     simulate_world,
     steps_do_not_fit,
 )
 
 FILTER_CHOICES = ("basic", "imu", "imu_quat", "both")
-# Accepting a printed-to-few-digits rotation and repairing it is fine;
-# anything further from orthonormal than this is a config mistake.
-_INIT_ROTATION_SLACK = 1e-2
 
 
 @dataclass(frozen=True)
@@ -131,13 +129,7 @@ def parse_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     init_raw = raw.get("init", {})
     if not isinstance(init_raw, dict):
         raise ConfigError("init: expected an object")
-    rot = floats(init_raw.get("rotation", np.eye(3).ravel()), "init.rotation")
-    if rot.size != 9:
-        raise ConfigError("init.rotation: expected 9 scalars (row-major)")
-    rot = rot.reshape(3, 3)
-    if rotation_defect(rot) > _INIT_ROTATION_SLACK:
-        raise ConfigError("init.rotation: not close to a rotation matrix")
-    rot = orthonormalize(rot)
+    rot = rotation(init_raw.get("rotation", np.eye(3).ravel()), "init.rotation")
 
     position = floats(init_raw.get("position", np.zeros(3)), "init.position")
     if position.shape != (3,):
@@ -186,12 +178,6 @@ def bundled_config_path(name: str) -> Path:
     return Path(__file__).parent / "configs" / name
 
 
-def _read_error(exc: OSError | UnicodeDecodeError) -> str:
-    if isinstance(exc, UnicodeDecodeError):
-        return f"not UTF-8 text (byte {exc.start})"
-    return exc.strerror or str(exc)
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     """Load and validate a JSON run config from disk.
 
@@ -210,15 +196,14 @@ def load_run_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{p}: cannot read the config: {_read_error(exc)}") from None
+        raise ConfigError(f"{p}: cannot read the config: {read_error(exc)}") from None
     try:
         return parse_run_config(raw, base_dir=Path.cwd())
     except ConfigError as exc:
         raise ConfigError(f"{p}: {exc}") from None
 
 
-@dataclass
-class FilterRunResult:
+class FilterRunResult(NamedTuple):
     """What one estimator did over a world trace: its state after every
     step, and its error reports at the sampled steps."""
 
@@ -234,8 +219,7 @@ class FilterRunResult:
     def state(self, k) -> FilterState:
         """Estimator state after step k (0 is the initial state).  A
         slice gives one FilterState whose arrays stack those steps."""
-        return FilterState(Pose(self.rotations[k], self.positions[k]), self.landmarks[k],
-                           Twist(self.biases[k, :3], self.biases[k, 3:]))
+        return _recorded_state(self.rotations, self.positions, self.landmarks, self.biases, k)
 
     @property
     def states(self) -> list[FilterState]:
@@ -245,6 +229,11 @@ class FilterRunResult:
         objects, which a caller would otherwise pay to free one by one.
         """
         return [self.state(k) for k in self.sample_ks]
+
+
+def _recorded_state(rotations, positions, landmarks, biases, k) -> FilterState:
+    return FilterState(Pose(rotations[k], positions[k]), landmarks[k],
+                       Twist(biases[k, :3], biases[k, 3:]))
 
 
 def _candidate(trace: WorldTrace, rc: RunConfig, name: str) -> tuple:
@@ -313,60 +302,51 @@ def run_filter(trace: WorldTrace, rc: RunConfig, name: str) -> FilterRunResult:
         except FilterDivergence as exc:
             raise FilterDivergence(f"{name}: step {k} (t={k * dt:.6g}): {exc}") from None
 
-    result = FilterRunResult(name, np.arange(0, k_steps + 1, rc.sample_stride),
-                             quat_to_rot(attitudes) if quat else attitudes, positions,
-                             landmarks, biases, reports=[], wall_time=0.0)
+    rotations = quat_to_rot(attitudes) if quat else attitudes
+    sample_ks = np.arange(0, k_steps + 1, rc.sample_stride)
     bias_true = Twist(cfg.bias_omega, cfg.bias_v)
-    result.reports.extend(
-        evaluate(trace.true_state(k), result.state(k), bias_true, lyap_kind=kind,
-                 gains=gains, kernel=kernel, att_multiplicity=att_mult)
-        for k in result.sample_ks
-    )
-    result.wall_time = time.perf_counter() - start
-    return result
+    reports = [
+        evaluate(trace.true_state(k), _recorded_state(rotations, positions, landmarks, biases, k),
+                 bias_true, lyap_kind=kind, gains=gains, kernel=kernel,
+                 att_multiplicity=att_mult)
+        for k in sample_ks
+    ]
+    return FilterRunResult(name, sample_ks, rotations, positions, landmarks, biases, reports,
+                           time.perf_counter() - start)
 
 
-def lyapunov_steps(trace: WorldTrace, rc: RunConfig, result: FilterRunResult) -> np.ndarray:
-    """Lyapunov candidate of a run at every step, (K+1,).
+def _state_csv_text(times, positions, rotations, landmarks) -> str:
+    """CSV of sampled states, one row per entry of ``times``: t, position,
+    the rotation row-major, then the landmarks row by row (``landmarks``
+    either per sample or one (n, 3) set for every row).
 
-    One call of :func:`metrics.error_state` over the recorded states;
-    entry k equals the ``lyap`` that :func:`metrics.evaluate` reports
-    for step k.
-    """
-    kind, gains, kernel, att_mult = _candidate(trace, rc, result.name)
-    cfg = trace.cfg
-    truth = TrueState(Pose(trace.rotations, trace.positions), trace.landmarks)
-    return error_state(truth, result.state(slice(None)), Twist(cfg.bias_omega, cfg.bias_v),
-                       kind, gains, kernel, att_mult)[3]
-
-
-def _fmt(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def _state_csv_text(n_landmarks: int, rows) -> str:
-    """CSV of sampled states; ``rows`` yields (t, position, rotation,
-    landmarks) with the rotation and the landmarks in row-major order."""
+    The columns go into one float64 table, formatted a row at a time: a
+    whole-table ``tolist`` would hold every value as a Python float at
+    once."""
+    s, n = times.shape[0], landmarks.shape[-2]
+    table = np.empty((s, 13 + 3 * n))
+    table[:, 0] = times
+    table[:, 1:4] = positions
+    table[:, 4:13] = rotations.reshape(s, 9)
+    table[:, 13:] = landmarks.reshape(-1, 3 * n)
     cols = ["t", "P_x", "P_y", "P_z"]
     cols += [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    for i in range(n_landmarks):
+    for i in range(n):
         cols += [f"p_{i + 1}_{ax}" for ax in ("x", "y", "z")]
     lines = [",".join(cols)]
-    for t, p, r, lm in rows:
-        lines.append(_fmt(np.concatenate([[t], p, r.ravel(), lm.ravel()])))
+    lines += [",".join(map(repr, row.tolist())) for row in table]
     return "\n".join(lines) + "\n"
 
 
 def truth_csv_text(trace: WorldTrace, stride: int) -> str:
-    return _state_csv_text(trace.landmarks.shape[0], zip(
-        trace.times[::stride], trace.positions[::stride], trace.rotations[::stride],
-        repeat(trace.landmarks)))
+    return _state_csv_text(trace.times[::stride], trace.positions[::stride],
+                           trace.rotations[::stride], trace.landmarks)
 
 
 def estimate_csv_text(result: FilterRunResult, times: np.ndarray) -> str:
     ks = result.sample_ks
-    return _state_csv_text(result.landmarks.shape[1], zip(
-        times[ks], result.positions[ks], result.rotations[ks], result.landmarks[ks]))
+    return _state_csv_text(times[ks], result.positions[ks], result.rotations[ks],
+                           result.landmarks[ks])
 
 
 def report_csv_text(result: FilterRunResult, n_landmarks: int) -> str:
@@ -375,8 +355,7 @@ def report_csv_text(result: FilterRunResult, n_landmarks: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunArtifacts:
+class RunArtifacts(NamedTuple):
     """Paths written by run(), plus the in-memory results."""
 
     output_dir: Path
@@ -424,55 +403,3 @@ def run(rc: RunConfig, suffix: str = "", seed: int | None = None) -> RunArtifact
         trace=trace,
     )
 
-
-def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read one of our CSVs: (header columns, float data (rows, cols))."""
-    try:
-        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {_read_error(exc)}") from None
-    if not text:
-        raise ConfigError(f"{path}: empty file")
-    header = text[0].split(",")
-    rows = [line.split(",") for line in text[1:]]
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    if any(len(row) != len(header) for row in rows):
-        raise ConfigError(f"{path}: ragged rows")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return header, data.reshape(len(rows), len(header))
-
-
-@dataclass(frozen=True)
-class ColumnDelta:
-    column: str
-    final: float
-    max: float
-
-
-def compare(path_a: str | Path, path_b: str | Path) -> list[ColumnDelta]:
-    """Per-column |a-b| deltas (final row and max over rows).
-
-    Raises ConfigError when the schemas (headers or row counts) differ.
-    """
-    header_a, data_a = read_csv(path_a)
-    header_b, data_b = read_csv(path_b)
-    if header_a != header_b:
-        missing = set(header_a) ^ set(header_b)
-        detail = f"; differing columns {sorted(missing)}" if missing else ""
-        raise ConfigError(f"column mismatch between {path_a} and {path_b}{detail}")
-    if data_a.shape[0] != data_b.shape[0]:
-        raise ConfigError(
-            f"row count mismatch: {data_a.shape[0]} vs {data_b.shape[0]}"
-        )
-    diff = np.abs(data_a - data_b)
-    # NaN-safe: treat NaN==NaN as zero delta (lyap column may be NaN)
-    both_nan = np.isnan(data_a) & np.isnan(data_b)
-    diff[both_nan] = 0.0
-    return [
-        ColumnDelta(column=col, final=float(diff[-1, j]), max=float(diff[:, j].max()))
-        for j, col in enumerate(header_a)
-    ]

@@ -10,7 +10,7 @@ integrator as well as for large test inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +99,7 @@ def so3_left_jacobian(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + b * wx + c * (wx @ wx)
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(NamedTuple):
     """Body-frame velocity pair (angular, linear)."""
 
     omega: np.ndarray
@@ -119,8 +118,7 @@ class Twist:
         return np.concatenate([self.omega, self.v], axis=-1)
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """Rigid-body transform stored as (rotation, position).
 
     Equivalent to the homogeneous matrix [[R, P], [0, 1]]; the bottom

@@ -7,7 +7,7 @@ attitude error rather than reconstructed from measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .liegroup import Twist, so3_distance
 from .worldsim import TrueState
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """One row of run diagnostics at time t."""
 
     t: float
@@ -144,8 +143,8 @@ def report_header(n_landmarks: int) -> str:
 
 
 def report_row(report: ErrorReport) -> str:
-    vals = [report.t, report.att_dist, report.pos_err]
-    vals += list(report.feat_err)
-    vals += list(report.e_norms)
-    vals += [report.bias_err, report.lyap]
-    return ",".join(repr(float(v)) for v in vals)
+    vals = [float(report.t), float(report.att_dist), float(report.pos_err)]
+    vals += report.feat_err.tolist()
+    vals += report.e_norms.tolist()
+    vals += [float(report.bias_err), float(report.lyap)]
+    return ",".join(map(repr, vals))

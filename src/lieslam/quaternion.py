@@ -13,7 +13,7 @@ coordinates to inertial ones, matching R in the matrix filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
-@dataclass(frozen=True)
-class QuatFilterState:
+class QuatFilterState(NamedTuple):
     """Mirror of FilterState with the attitude held as a quaternion."""
 
     q: np.ndarray              # (4,) unit, scalar first

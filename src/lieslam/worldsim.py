@@ -9,19 +9,30 @@ augmented to a full triad by cross products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .liegroup import Pose, Twist
+from .liegroup import Pose, Twist, orthonormalize, rotation_defect
 
 # Configured reference directions closer than this angle (radians) cannot
 # span a triad and are rejected at config time.
 _COLLINEAR_TOL = 1e-3
+# Accepting a printed-to-few-digits rotation and repairing it is fine;
+# anything further from orthonormal than this is a config mistake.
+_INIT_ROTATION_SLACK = 1e-2
 
 
 class ConfigError(ValueError):
     """A configuration document failed validation."""
+
+
+def read_error(exc: OSError | UnicodeDecodeError) -> str:
+    """Why a config or CSV file could not be read, for a ConfigError."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8 text (byte {exc.start})"
+    return exc.strerror or str(exc)
 
 
 def steps_do_not_fit(k_steps: int) -> ConfigError:
@@ -29,8 +40,7 @@ def steps_do_not_fit(k_steps: int) -> ConfigError:
     return ConfigError(f"world.duration: {k_steps} steps of world.dt do not fit in memory")
 
 
-@dataclass(frozen=True)
-class LinearProfile:
+class LinearProfile(NamedTuple):
     """Vector-valued signal const + slope * t (slope defaults to zero)."""
 
     const: np.ndarray
@@ -91,6 +101,22 @@ def integer(raw, key: str, minimum: int) -> int:
     if raw < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}")
     return raw
+
+
+def rotation(raw, key: str) -> np.ndarray:
+    """A row-major 3x3 rotation within _INIT_ROTATION_SLACK of
+    orthonormal, repaired by :func:`orthonormalize`.
+
+    An entry beyond 2 in magnitude already puts R^T R off the identity
+    by more than 3, so it is rejected before the product can overflow.
+    """
+    rot = floats(raw, key)
+    if rot.size != 9:
+        raise ConfigError(f"{key}: expected 9 scalars (row-major)")
+    rot = rot.reshape(3, 3)
+    if np.abs(rot).max() > 2.0 or rotation_defect(rot) > _INIT_ROTATION_SLACK:
+        raise ConfigError(f"{key}: not close to a rotation matrix")
+    return orthonormalize(rot)
 
 
 def _vec3(raw, key: str) -> np.ndarray:
@@ -185,11 +211,8 @@ class WorldConfig:
                 raise ConfigError(f"world.{name}: must be >= 0")
         rng_seed = integer(raw.get("rng_seed", 0), "world.rng_seed", 0)
 
-        init_rotation = floats(raw.get("init_rotation", np.eye(3).ravel()),
-                               "world.init_rotation")
-        if init_rotation.size != 9:
-            raise ConfigError("world.init_rotation: expected 9 scalars (row-major)")
-        init_rotation = init_rotation.reshape(3, 3)
+        init_rotation = rotation(raw.get("init_rotation", np.eye(3).ravel()),
+                                 "world.init_rotation")
 
         return cls(
             landmarks=landmarks,
@@ -208,8 +231,7 @@ class WorldConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrueState:
+class TrueState(NamedTuple):
     """Ground-truth pose + (static) landmarks at time t."""
 
     pose: Pose
@@ -217,8 +239,7 @@ class TrueState:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
-class MeasurementBundle:
+class MeasurementBundle(NamedTuple):
     """Everything the filters see during one sample interval.
 
     ``imu_ref`` / ``imu_body`` hold the direction pairs row by row:
@@ -260,8 +281,7 @@ def augmented_refs(imu_refs: np.ndarray) -> np.ndarray:
     return np.vstack([unit, cross / sin_angle])
 
 
-@dataclass(frozen=True)
-class WorldTrace:
+class WorldTrace(NamedTuple):
     """A full simulated run laid out as arrays.
 
     Truth is stored at every sample instant k = 0..K; measurement record

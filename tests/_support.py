@@ -12,9 +12,11 @@ import warnings
 
 import numpy as np
 
-from lieslam._kernels import _PI_COND_LIMIT, TAU_FLOOR
+from lieslam._laws import _PI_COND_LIMIT, TAU_FLOOR
 from lieslam.filter_basic import BasicGains, FilterState
 from lieslam.filter_imu import AttitudeKernel, ImuGains
+from lieslam.harness import FilterRunResult, RunConfig, _candidate
+from lieslam.metrics import error_state
 from lieslam.liegroup import Pose, Twist, adjoint_aug, se3_exp, skew, so3_exp
 from lieslam.quaternion import QuatFilterState, quat_normalize
 from lieslam.worldsim import (
@@ -319,3 +321,16 @@ def measurement_state(trace: WorldTrace, k: int) -> TrueState:
     u_quarter = Twist(profile_at(cfg.omega_true, t + cfg.dt / 4),
                       profile_at(cfg.v_true, t + cfg.dt / 4))
     return propagate_true(trace.true_state(k), u_quarter, cfg.dt / 2)
+
+
+def lyapunov_steps(trace: WorldTrace, rc: RunConfig, result: FilterRunResult) -> np.ndarray:
+    """Lyapunov candidate of a run at every step, (K+1,).
+
+    One call of ``metrics.error_state`` over the recorded states; entry
+    k equals the ``lyap`` that ``metrics.evaluate`` reports for step k.
+    """
+    kind, gains, kernel, att_mult = _candidate(trace, rc, result.name)
+    cfg = trace.cfg
+    truth = TrueState(Pose(trace.rotations, trace.positions), trace.landmarks)
+    return error_state(truth, result.state(slice(None)), Twist(cfg.bias_omega, cfg.bias_v),
+                       kind, gains, kernel, att_mult)[3]

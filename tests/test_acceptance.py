@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 
-from _support import pi_meas, random_rotation, series_exp, upsilon_meas
+from _support import lyapunov_steps, pi_meas, random_rotation, series_exp, upsilon_meas
 from lieslam.filter_imu import build_kernel
-from lieslam.harness import lyapunov_steps, run
+from lieslam.harness import run
 from lieslam.liegroup import (
     Pose,
     Twist,

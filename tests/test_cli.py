@@ -118,6 +118,14 @@ MALFORMED = {
     # found by test_any_edit_of_a_config_gives_config_or_config_error
     "integer_beyond_float_range": (_set("gains", "basic", "alpha", 10**400), [],
                                    "gains.basic.alpha"),
+    # both rotation keys share one check, which must not overflow
+    "world_init_rotation_scaled": (_set("world", "init_rotation", [2, 0, 0, 0, 1, 0, 0, 0, 1]),
+                                   [], "world.init_rotation"),
+    "world_init_rotation_huge": (_set("world", "init_rotation",
+                                      [1e200, 0, 0, 0, 1, 0, 0, 0, 1]), [],
+                                 "world.init_rotation"),
+    "init_rotation_huge": (_set("init", {"rotation": [1e200, 0, 0, 0, 1, 0, 0, 0, 1]}), [],
+                           "init.rotation"),
 }
 
 
@@ -162,7 +170,6 @@ def _diverging_doc() -> dict:
     }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_divergence_exit_code(tmp_path, capsys, warmed_up):
     cfg = _write_config(tmp_path, _diverging_doc())
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "d")]) == 3

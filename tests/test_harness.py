@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import small_run_dict, small_world_dict
+from _support import lyapunov_steps, small_run_dict, small_world_dict
+from lieslam.compare import compare, read_csv
 from lieslam.harness import (
     bundled_config_path,
-    compare,
     load_run_config,
-    lyapunov_steps,
     parse_run_config,
-    read_csv,
     run,
     run_filter,
 )
@@ -147,15 +145,20 @@ def test_parse_gain_broadcasting():
 
 
 def test_parse_init_rotation_repair_and_rejection():
-    doc = small_run_dict(init={"rotation": [0.8112, -0.5660, 0.1468,
-                                            0.5749, 0.8179, -0.0234,
-                                            -0.1068, 0.1034, 0.9889]})
-    rc = parse_run_config(doc)
-    assert rotation_defect(rc.init_rotation) < 1e-12
-    with pytest.raises(ConfigError, match="not close to a rotation"):
-        parse_run_config(small_run_dict(init={"rotation": [1.1, 0, 0, 0, 1.1, 0, 0, 0, 1.1]}))
-    with pytest.raises(ConfigError, match="9 scalars"):
-        parse_run_config(small_run_dict(init={"rotation": [1.0, 0.0, 0.0]}))
+    """Both rotation keys repair a rotation printed to a few digits and
+    reject anything further off."""
+    printed = [0.8112, -0.5660, 0.1468, 0.5749, 0.8179, -0.0234, -0.1068, 0.1034, 0.9889]
+    for key, doc, parsed in (
+        ("init.rotation", lambda r: small_run_dict(init={"rotation": r}),
+         lambda rc: rc.init_rotation),
+        ("world.init_rotation", lambda r: small_run_dict(world=small_world_dict(init_rotation=r)),
+         lambda rc: rc.world.init_rotation),
+    ):
+        assert rotation_defect(parsed(parse_run_config(doc(printed)))) < 1e-12
+        with pytest.raises(ConfigError, match=f"{key}: not close to a rotation"):
+            parse_run_config(doc([1.1, 0, 0, 0, 1.1, 0, 0, 0, 1.1]))
+        with pytest.raises(ConfigError, match=f"{key}: expected 9 scalars"):
+            parse_run_config(doc([1.0, 0.0, 0.0]))
 
 
 def test_parse_init_shape_checks():

@@ -43,7 +43,7 @@ from _support import (
     series_exp,
 )
 
-from lieslam import _ctranslate, _kernels
+from lieslam import _ctranslate, _kernels, _laws
 from lieslam.cli import main
 from lieslam.filter_basic import BasicGains, FilterState, basic_params, pack_state
 from lieslam.filter_imu import ImuGains, build_kernel, imu_params
@@ -165,13 +165,13 @@ def test_gain_divisor_matches_numpy_guards():
     _, a_mat, b_mat = direction_sums(m.imu_ref @ fs.pose.rotation, m.imu_ref, m.imu_body,
                                      kernel.weights)
     tau = attitude_gain_divisor(kernel, pi_from_products(a_mat, b_mat))
-    got = _kernels._gain_divisor(tuple(a_mat.ravel().tolist()), tuple(b_mat.ravel().tolist()),
-                                 kernel.lambda_min)
+    got = _laws._gain_divisor(tuple(a_mat.ravel().tolist()), tuple(b_mat.ravel().tolist()),
+                              kernel.lambda_min)
     assert got == pytest.approx(tau, rel=RTOL)
     singular = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    assert _kernels._gain_divisor(singular, singular, 1.0) == _kernels.TAU_FLOOR
+    assert _laws._gain_divisor(singular, singular, 1.0) == _laws.TAU_FLOOR
     ill = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-9)
-    assert _kernels._gain_divisor(singular, ill, 1.0) == _kernels.TAU_FLOOR
+    assert _laws._gain_divisor(singular, ill, 1.0) == _laws.TAU_FLOOR
 
 
 # rotation angles on both sides of _exp_step's 1e-6 small-angle switch
@@ -296,13 +296,18 @@ def test_failed_build_keeps_python_floats(tmp_path):
 
 @pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
 def test_cached_build_loads_without_translator():
-    """A warm cache loads the extension without importing the translator,
-    the compiler driver or hashlib (which alone adds ~3.5 MB of RSS)."""
+    """A warm cache loads the extension without importing the law source,
+    the translator, the compiler driver or hashlib (which alone adds
+    ~3.5 MB of RSS); reading PY_FUNC then loads the law source."""
     out = _import_kernels(dict(os.environ), "_kernels.BACKEND",
-                          "[m for m in ('lieslam._ctranslate', 'hashlib', 'cffi', 'shlex') "
-                          "if m in sys.modules]")
+                          "[m for m in ('lieslam._laws', 'lieslam._ctranslate', 'hashlib', "
+                          "'cffi', 'shlex') if m in sys.modules]",
+                          "all(f is getattr(sys.modules['lieslam._laws'], name) "
+                          "and isinstance(f, types.FunctionType) "
+                          "for name, f in _kernels.PY_FUNC.items())",
+                          "sorted(_kernels.PY_FUNC) == sorted(_kernels._COMPILED)")
     assert out.returncode == 0 and out.stderr == ""
-    assert out.stdout.splitlines() == ["compiled", "[]"]
+    assert out.stdout.splitlines() == ["compiled", "[]", "True", "True"]
 
 
 # sha256 of every CSV of two 0.3 s bundled runs, recorded on the

@@ -244,7 +244,6 @@ def test_step_matches_matrix_filter_over_many_intervals():
     assert abs(np.linalg.norm(qs.q) - 1.0) < 1e-12
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quat_step_divergence_raises():
     rng = np.random.default_rng(46)
     fs, kernel, m = _quat_setup(rng)
@@ -259,7 +258,6 @@ def test_quat_step_divergence_raises():
         quat_imu_step(qs, bad, kernel, _imu_gains(4), 0.001)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale,error", ((1e160, OverflowError), (0.0, ZeroDivisionError)))
 def test_quat_step_float_exceptions_raise_divergence(scale, error):
     """A 1e160 quaternion with zero vector part and zero angular rate

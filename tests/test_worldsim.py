@@ -205,12 +205,12 @@ def test_sample_features_reference_cases():
     rng = np.random.default_rng(1)
 
     # at the origin with identity attitude the body frame is the world frame
-    origin = dataclasses.replace(state, pose=Pose(np.eye(3), np.zeros(3)))
+    origin = state._replace(pose=Pose(np.eye(3), np.zeros(3)))
     y = sample_features(origin, cfg, rng)
     assert np.array_equal(y, cfg.landmarks)
 
     # sitting exactly on landmark 0 zeroes its vector
-    on_lm = dataclasses.replace(state, pose=Pose(np.eye(3), cfg.landmarks[0].copy()))
+    on_lm = state._replace(pose=Pose(np.eye(3), cfg.landmarks[0].copy()))
     y = sample_features(on_lm, cfg, rng)
     assert np.array_equal(y[0], np.zeros(3))
 
@@ -219,8 +219,7 @@ def test_sample_features_is_isometric():
     """Body-frame vectors preserve inter-landmark distances."""
     cfg = WorldConfig.from_dict(_world_dict())
     rng = np.random.default_rng(2)
-    state = dataclasses.replace(
-        initial_true_state(cfg),
+    state = initial_true_state(cfg)._replace(
         pose=Pose(random_rotation(rng), rng.standard_normal(3) * 4.0),
     )
     y = sample_features(state, cfg, rng)
@@ -251,8 +250,7 @@ def test_augmented_refs_rejects_degenerate_input():
 def test_sample_imu_transport_relation():
     cfg = WorldConfig.from_dict(_world_dict())
     rng = np.random.default_rng(3)
-    state = dataclasses.replace(
-        initial_true_state(cfg),
+    state = initial_true_state(cfg)._replace(
         pose=Pose(random_rotation(rng), rng.standard_normal(3)),
     )
     refs, body = sample_imu(state, cfg, rng)
