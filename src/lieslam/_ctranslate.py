@@ -311,12 +311,9 @@ class _Func:
 
     def listcomp(self, n):
         gen = n.generators[0]
-        if len(n.generators) != 1 or gen.ifs or gen.is_async:
-            self.fail(n, "this comprehension")
-        if _is_call(gen.iter, "zip"):
-            sources, targets = gen.iter.args, gen.target.elts
-        else:
-            sources, targets = [gen.iter], [gen.target]
+        if len(n.generators) != 1 or gen.ifs or gen.is_async or not _is_call(gen.iter, "zip"):
+            self.fail(n, "a comprehension other than one over a zip")
+        sources, targets = gen.iter.args, gen.target.elts
         seqs = []
         for src in sources:
             code, t = self.expr(src)
@@ -413,10 +410,11 @@ def translate(source: str, module: str) -> str:
                       f"    return PyModule_Create(&def);\n}}\n"])
 
 
-def build(laws: str, target: str, module: str, cc: str) -> None:
+def build(laws: str, target: str, module: str, cc: str, replaces: str) -> None:
     """Translate the ``laws`` source file (``_laws.py``) and compile it
     with the compiler command ``cc`` into ``target``; the file appears
-    whole or not at all (built beside it, then renamed)."""
+    whole or not at all (built beside it, then renamed).  Then the other
+    files beside it whose names start with ``replaces`` are deleted."""
     include = sysconfig.get_paths()["include"]
     if not os.path.isfile(os.path.join(include, "Python.h")):
         raise BuildError(f"no Python.h in {include}")
@@ -439,3 +437,6 @@ def build(laws: str, target: str, module: str, cc: str) -> None:
             raise BuildError(f"{cc} exited with status {done.returncode}: "
                              f"{done.stderr.strip()[-500:]}")
         os.replace(out, target)
+    for old in target.parent.glob(replaces + "*"):
+        if old != target:
+            old.unlink(missing_ok=True)

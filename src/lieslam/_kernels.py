@@ -11,7 +11,8 @@ step functions call through it (``basic_sample``, ``imu_sample``,
   key of ``_laws.py``, the translator, the prelude, ``$CC`` and the
   Python ABI.  On a cache hit the key is read from those files and the
   extension is loaded; neither ``_laws`` nor ``_ctranslate`` is
-  imported.  On a miss ``_ctranslate`` builds it first;
+  imported.  On a miss ``_ctranslate`` builds it first and deletes the
+  older builds for the same ``$CC`` and Python;
 - interpreted: when that build fails (no compiler, no ``Python.h``, no
   writable cache; ``BUILD_ERROR`` says which), the functions of
   ``_laws`` themselves.
@@ -209,24 +210,27 @@ _COMPILED = ("_basic_rates", "basic_sample", "_imu_rates", "imu_sample",
 def _compiled():
     """(extension module, None), built on a cache miss, or (None, why not).
 
-    The hit path reads three files and loads the extension; only a miss
-    imports the translator and runs the compiler.
+    A build is named ``lieslam_kernels_<environment key>_<source key>``.
+    The hit path reads the three source files and loads the extension;
+    only a miss imports the translator and runs the compiler, which then
+    deletes the older builds of the same environment.
     """
     here = os.path.dirname(os.path.abspath(__file__))
     cc = os.environ.get("CC") or "cc"
-    key = f"{cc}\0{EXTENSION_SUFFIXES[0]}\0{sys.version}".encode()
-    crc, adler = zlib.crc32(key), zlib.adler32(key)
+    env = f"{cc}\0{EXTENSION_SUFFIXES[0]}\0{sys.version}".encode()
+    crc, adler = zlib.crc32(b""), zlib.adler32(b"")
     for name in ("_laws.py", "_ctranslate.py", "_cprelude.h"):
         with open(os.path.join(here, name), "rb") as f:
             data = f.read()
         crc, adler = zlib.crc32(data, crc), zlib.adler32(data, adler)
-    module = f"lieslam_kernels_{crc:08x}{adler:08x}"
+    prefix = f"lieslam_kernels_{zlib.crc32(env):08x}{zlib.adler32(env):08x}_"
+    module = f"{prefix}{crc:08x}{adler:08x}"
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     path = os.path.join(cache, "lieslam", module + EXTENSION_SUFFIXES[0])
     try:
         if not os.path.exists(path):
             from . import _ctranslate
-            _ctranslate.build(os.path.join(here, "_laws.py"), path, module, cc)
+            _ctranslate.build(os.path.join(here, "_laws.py"), path, module, cc, prefix)
         loader = ExtensionFileLoader(module, path)
         ext = module_from_spec(spec_from_loader(module, loader))
         loader.exec_module(ext)

@@ -23,7 +23,7 @@ The translated kernels keep to a subset of Python: floats and ints,
 tuples and lists of floats or of 3-float rows, the parameter tuples,
 assignments and unpacking, ``+ - * /`` and ``**`` by a positive integer
 literal, comparisons, ``and``/``or``/``not``, ``if``, ``for`` over
-``range``, list comprehensions over one sequence or a ``zip``,
+``range``, list comprehensions over a ``zip``,
 ``append``, ``len``, slices, ``sqrt``, ``isfinite`` and calls of the
 kernels themselves (a kernel passed as an argument, like ``_rk4``'s
 ``rates``, is specialised at compile time).  Module-level ``int`` and
@@ -280,7 +280,7 @@ def _imu_rates(x, params):
 def imu_sample(x, params, dt, nsub):
     """One measurement interval of the IMU-aided observer (RK4)."""
     h = dt / nsub
-    state = [a for a in x]
+    state = x
     for _ in range(nsub):
         state = _rk4(_imu_rates, state, params, h)
     return _renormalize(state)
@@ -376,7 +376,7 @@ def _basic_rates(x, params):
 def basic_sample(x, params, dt, nsub):
     """One measurement interval of the feature-only observer (RK4)."""
     h = dt / nsub
-    state = [a for a in x]
+    state = x
     for _ in range(nsub):
         state = _rk4(_basic_rates, state, params, h)
     return _renormalize(state)
@@ -476,7 +476,7 @@ def quat_sample(x, params, dt, nsub):
     """One measurement interval of the quaternion observer (RK4), with
     the quaternion renormalized after every substep."""
     h = dt / nsub
-    state = [a for a in x]
+    state = x
     for _ in range(nsub):
         state = _rk4(_quat_rates, state, params, h)
         q0, q1, q2, q3 = state[:_Q_POS]

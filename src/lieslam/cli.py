@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seed_worker(rc: RunConfig, seed: int) -> None:
-    run(rc, suffix=f"_seed{seed}", seed=seed)
+    run(replace(rc, world=replace(rc.world, rng_seed=seed)), suffix=f"_seed{seed}")
 
 
 def _run_seeds(rc: RunConfig, runs: int) -> int:
@@ -97,10 +97,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     for name, result in artifacts.results.items():
-        final = result.reports[-1]
+        report = result.report
         print(
-            f"{name}: t={final.t:g} att_dist={final.att_dist:.3e} "
-            f"pos_err={final.pos_err:.3e} bias_err={final.bias_err:.3e}"
+            f"{name}: t={report.t[-1]:g} att_dist={report.att_dist[-1]:.3e} "
+            f"pos_err={report.pos_err[-1]:.3e} bias_err={report.bias_err[-1]:.3e}"
         )
     print(f"wrote artifacts to {artifacts.output_dir}")
     return 0

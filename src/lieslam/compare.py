@@ -55,10 +55,11 @@ def compare(path_a: str | Path, path_b: str | Path) -> list[ColumnDelta]:
         raise ConfigError(
             f"row count mismatch: {data_a.shape[0]} vs {data_b.shape[0]}"
         )
-    diff = np.abs(data_a - data_b)
-    # NaN-safe: treat NaN==NaN as zero delta (lyap column may be NaN)
-    both_nan = np.isnan(data_a) & np.isnan(data_b)
-    diff[both_nan] = 0.0
+    # equal values (infinities included) and NaN pairs (the lyap column may
+    # be NaN) have delta 0; subtracting only the others never runs inf - inf
+    differ = (data_a != data_b) & ~(np.isnan(data_a) & np.isnan(data_b))
+    diff = np.zeros_like(data_a)
+    diff[differ] = np.abs(data_a[differ] - data_b[differ])
     return [
         ColumnDelta(column=col, final=float(diff[-1, j]), max=float(diff[:, j].max()))
         for j, col in enumerate(header_a)

@@ -1,10 +1,10 @@
 """Run orchestration: config loading, filter execution, CSV artifacts.
 
 A run simulates one world trace and feeds it to the selected
-estimator(s).  Outputs per run: ``truth.csv`` plus, per filter,
-``filter_<name>.csv`` (error reports) and ``estimate_<name>.csv``
-(estimated trajectories).  Identical config + seed gives byte-identical
-files.
+estimator(s); each keeps its states and sampled error reports as stacked
+arrays.  One row writer formats every output: ``truth.csv`` plus, per
+filter, ``filter_<name>.csv`` (error reports) and ``estimate_<name>.csv``
+(estimated trajectories).  Identical configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .filter_basic import BasicGains, FilterDivergence, FilterState, basic_step
 from .filter_imu import ImuGains, build_kernel, imu_step
 from .liegroup import Pose, Twist
-from .metrics import ErrorReport, evaluate, report_header, report_row
+from .metrics import ErrorReport, evaluate, report_header
 from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
 from .worldsim import (
     ConfigError,
@@ -213,7 +213,7 @@ class FilterRunResult(NamedTuple):
     positions: np.ndarray            # (K+1, 3)
     landmarks: np.ndarray            # (K+1, n, 3)
     biases: np.ndarray               # (K+1, 6) angular then linear
-    reports: list[ErrorReport]       # one per entry of sample_ks
+    report: ErrorReport              # stacked over sample_ks: (S,) or (S, n) columns
     wall_time: float
 
     def state(self, k) -> FilterState:
@@ -237,30 +237,30 @@ def _recorded_state(rotations, positions, landmarks, biases, k) -> FilterState:
 
 
 def _candidate(trace: WorldTrace, rc: RunConfig, name: str) -> tuple:
-    """Lyapunov candidate of a filter as (kind, gains, attitude kernel,
+    """Lyapunov candidate of a filter as (gains, attitude kernel,
     attitude multiplicity); the gains and the kernel are also the ones
     the filter steps with."""
     if name == "basic":
-        return "basic", rc.gains_basic, None, 1.0
+        return rc.gains_basic, None, 1.0
     kernel = build_kernel(trace.imu_ref, trace.cfg.sensor_weights)
-    return ("imu", rc.gains_imu, kernel,
-            1.0 if rc.simplified_form else float(trace.cfg.n_landmarks))
+    return rc.gains_imu, kernel, 1.0 if rc.simplified_form else float(trace.cfg.n_landmarks)
 
 
 def run_filter(trace: WorldTrace, rc: RunConfig, name: str) -> FilterRunResult:
     """Run one estimator over a simulated trace.
 
     The state after every step is recorded; the error reports are
-    evaluated every ``sample_stride`` steps.  Raises FilterDivergence
-    (annotated with the step index) if the estimator state stops being
-    finite, and ConfigError if the record does not fit in memory.
+    evaluated every ``sample_stride`` steps and stacked.  Raises
+    FilterDivergence (annotated with the step index) if the estimator
+    state stops being finite, and ConfigError if the record does not
+    fit in memory.
     """
     if name not in ("basic", "imu", "imu_quat"):
         raise ValueError(f"unknown filter {name!r}")
     cfg = trace.cfg
     k_steps = trace.u_m.shape[0]
     dt = cfg.dt
-    kind, gains, kernel, att_mult = _candidate(trace, rc, name)
+    gains, kernel, att_mult = _candidate(trace, rc, name)
 
     # the steps return new states, so the initial one may share rc's arrays
     bias = Twist(rc.init_bias[:3], rc.init_bias[3:])
@@ -307,52 +307,54 @@ def run_filter(trace: WorldTrace, rc: RunConfig, name: str) -> FilterRunResult:
     bias_true = Twist(cfg.bias_omega, cfg.bias_v)
     reports = [
         evaluate(trace.true_state(k), _recorded_state(rotations, positions, landmarks, biases, k),
-                 bias_true, lyap_kind=kind, gains=gains, kernel=kernel,
-                 att_multiplicity=att_mult)
+                 bias_true, gains, kernel, att_mult)
         for k in sample_ks
     ]
-    return FilterRunResult(name, sample_ks, rotations, positions, landmarks, biases, reports,
+    report = ErrorReport._make(map(np.array, zip(*reports)))
+    return FilterRunResult(name, sample_ks, rotations, positions, landmarks, biases, report,
                            time.perf_counter() - start)
 
 
-def _state_csv_text(times, positions, rotations, landmarks) -> str:
-    """CSV of sampled states, one row per entry of ``times``: t, position,
-    the rotation row-major, then the landmarks row by row (``landmarks``
-    either per sample or one (n, 3) set for every row).
+def _csv_text(header: str, *columns: np.ndarray) -> str:
+    """CSV of float64 columns ((S,) or (S, m) each), one row per sample.
 
-    The columns go into one float64 table, formatted a row at a time: a
+    The columns go into one table, formatted a row at a time: a
     whole-table ``tolist`` would hold every value as a Python float at
     once."""
-    s, n = times.shape[0], landmarks.shape[-2]
-    table = np.empty((s, 13 + 3 * n))
-    table[:, 0] = times
-    table[:, 1:4] = positions
-    table[:, 4:13] = rotations.reshape(s, 9)
-    table[:, 13:] = landmarks.reshape(-1, 3 * n)
-    cols = ["t", "P_x", "P_y", "P_z"]
-    cols += [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-    for i in range(n):
-        cols += [f"p_{i + 1}_{ax}" for ax in ("x", "y", "z")]
-    lines = [",".join(cols)]
-    lines += [",".join(map(repr, row.tolist())) for row in table]
+    lines = [header]
+    lines += [",".join(map(repr, row.tolist())) for row in np.column_stack(columns)]
     return "\n".join(lines) + "\n"
 
 
+def _state_header(n_landmarks: int) -> str:
+    """t, position, the rotation row-major, then the landmarks row by row."""
+    cols = ["t", "P_x", "P_y", "P_z"]
+    cols += [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+    for i in range(n_landmarks):
+        cols += [f"p_{i + 1}_{ax}" for ax in ("x", "y", "z")]
+    return ",".join(cols)
+
+
 def truth_csv_text(trace: WorldTrace, stride: int) -> str:
-    return _state_csv_text(trace.times[::stride], trace.positions[::stride],
-                           trace.rotations[::stride], trace.landmarks)
+    times = trace.times[::stride]
+    n = trace.landmarks.shape[0]
+    return _csv_text(_state_header(n), times, trace.positions[::stride],
+                     trace.rotations[::stride].reshape(-1, 9),
+                     np.broadcast_to(trace.landmarks.reshape(-1), (times.shape[0], 3 * n)))
 
 
 def estimate_csv_text(result: FilterRunResult, times: np.ndarray) -> str:
     ks = result.sample_ks
-    return _state_csv_text(times[ks], result.positions[ks], result.rotations[ks],
-                           result.landmarks[ks])
+    n = result.landmarks.shape[1]
+    return _csv_text(_state_header(n), times[ks], result.positions[ks],
+                     result.rotations[ks].reshape(-1, 9),
+                     result.landmarks[ks].reshape(-1, 3 * n))
 
 
 def report_csv_text(result: FilterRunResult, n_landmarks: int) -> str:
-    lines = [report_header(n_landmarks)]
-    lines += [report_row(rep) for rep in result.reports]
-    return "\n".join(lines) + "\n"
+    rep = result.report
+    return _csv_text(report_header(n_landmarks), rep.t, rep.att_dist, rep.pos_err,
+                     rep.feat_err, rep.e_norms, rep.bias_err, rep.lyap)
 
 
 class RunArtifacts(NamedTuple):
@@ -366,13 +368,12 @@ class RunArtifacts(NamedTuple):
     trace: WorldTrace
 
 
-def run(rc: RunConfig, suffix: str = "", seed: int | None = None) -> RunArtifacts:
+def run(rc: RunConfig, suffix: str = "") -> RunArtifacts:
     """Execute a run config: simulate, filter, write CSV artifacts.
 
-    ``suffix`` is appended to every file stem (used by multi-seed runs);
-    ``seed`` overrides the world's rng_seed.
+    ``suffix`` is appended to every file stem (used by multi-seed runs).
     """
-    trace = simulate_world(rc.world, seed=seed)
+    trace = simulate_world(rc.world)
     out = rc.output_dir
     out.mkdir(parents=True, exist_ok=True)
 

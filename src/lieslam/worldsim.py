@@ -316,7 +316,7 @@ class WorldTrace(NamedTuple):
         )
 
 
-def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
+def simulate_world(cfg: WorldConfig) -> WorldTrace:
     """Run the ground-truth propagation and synthesize all measurements.
 
     Every measurement in record k represents the interval
@@ -333,7 +333,7 @@ def simulate_world(cfg: WorldConfig, seed: int | None = None) -> WorldTrace:
     Raises ConfigError, naming world.dt and world.duration, when the
     trace does not fit in memory.
     """
-    rng = np.random.default_rng(cfg.rng_seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.rng_seed)
     k_steps = cfg.n_steps
     n = cfg.n_landmarks
     refs = augmented_refs(cfg.imu_refs)

@@ -329,8 +329,8 @@ def lyapunov_steps(trace: WorldTrace, rc: RunConfig, result: FilterRunResult) ->
     One call of ``metrics.error_state`` over the recorded states; entry
     k equals the ``lyap`` that ``metrics.evaluate`` reports for step k.
     """
-    kind, gains, kernel, att_mult = _candidate(trace, rc, result.name)
+    gains, kernel, att_mult = _candidate(trace, rc, result.name)
     cfg = trace.cfg
     truth = TrueState(Pose(trace.rotations, trace.positions), trace.landmarks)
     return error_state(truth, result.state(slice(None)), Twist(cfg.bias_omega, cfg.bias_v),
-                       kind, gains, kernel, att_mult)[3]
+                       gains, kernel, att_mult)[3]

@@ -152,15 +152,15 @@ def test_criterion_5_innovation_convergence(capsys, noisy_basic, noisy_imu,
     finals = {}
     window_worst = {}
     for res in (noisy_basic, noisy_imu):
-        finals[res.name] = res.reports[-1].e_norms.max()
-        window = np.array([r.e_norms for r in res.reports if r.t >= 38.0])
+        finals[res.name] = res.report.e_norms[-1].max()
+        window = res.report.e_norms[res.report.t >= 38.0]
         window_worst[res.name] = window.min(axis=0).max()
 
     slopes = {}
     for res in (clean_basic, clean_imu):
-        early = [(r.t, r.e_norms.max()) for r in res.reports if r.t <= 10.0]
-        t = np.array([p[0] for p in early])
-        e = np.log10(np.maximum([p[1] for p in early], 1e-15))
+        early = res.report.t <= 10.0
+        t = res.report.t[early]
+        e = np.log10(np.maximum(res.report.e_norms[early].max(axis=1), 1e-15))
         slopes[res.name] = np.polyfit(t, e, 1)[0]
 
     ok = (max(finals.values()) < 0.05 and max(window_worst.values()) < 0.05
@@ -175,10 +175,10 @@ def test_criterion_5_innovation_convergence(capsys, noisy_basic, noisy_imu,
 
 
 def test_criterion_6_attitude_contrast(capsys, phase_times, noisy_basic, noisy_imu):
-    imu_att = noisy_imu.reports[-1].att_dist
-    imu_feat = noisy_imu.reports[-1].feat_err.max()
-    basic_att = noisy_basic.reports[-1].att_dist
-    basic_tail = np.array([r.att_dist for r in noisy_basic.reports if r.t >= 38.0])
+    imu_att = noisy_imu.report.att_dist[-1]
+    imu_feat = noisy_imu.report.feat_err[-1].max()
+    basic_att = noisy_basic.report.att_dist[-1]
+    basic_tail = noisy_basic.report.att_dist[noisy_basic.report.t >= 38.0]
     budget = (phase_times["simulate_noisy"] + noisy_basic.wall_time
               + noisy_imu.wall_time)
 
@@ -211,7 +211,7 @@ def test_criterion_7_energy_monotonicity(capsys, clean_trace, clean_rc, clean_rc
 
 
 def test_criterion_8_bias_recovery(capsys, clean_imu):
-    final = clean_imu.reports[-1].bias_err
+    final = clean_imu.report.bias_err[-1]
 
     ok = final < 0.02
     _announce(capsys, 8, "velocity bias recovered", ok,

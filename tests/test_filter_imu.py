@@ -453,8 +453,8 @@ def test_energy_never_increases_simplified_form(clean_trace, clean_rc_simplified
 
 
 def test_clean_run_converges_fully(clean_imu):
-    final = clean_imu.reports[-1]
-    assert final.att_dist < 1e-4
-    assert final.e_norms.max() < 1e-3
-    assert final.feat_err.max() < 0.5
-    assert final.bias_err < 0.02
+    report = clean_imu.report
+    assert report.att_dist[-1] < 1e-4
+    assert report.e_norms[-1].max() < 1e-3
+    assert report.feat_err[-1].max() < 0.5
+    assert report.bias_err[-1] < 0.02

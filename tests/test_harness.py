@@ -254,12 +254,13 @@ def test_run_filter_sampling_grid(warmed_up):
     result = run_filter(trace, rc, "imu")
     # stride 100 over 1000 steps: samples at 0, 100, ..., 1000
     assert np.array_equal(result.sample_ks, np.arange(0, 1001, 100))
-    assert len(result.states) == len(result.reports) == 11
+    assert len(result.states) == len(result.report.t) == 11
+    assert result.report.feat_err.shape == result.report.e_norms.shape == (11, 3)
     # the state after every step is kept
     assert result.rotations.shape == (1001, 3, 3)
     assert result.biases.shape == (1001, 6)
-    assert result.reports[0].t == 0.0
-    assert np.isclose(result.reports[-1].t, 1.0, atol=1e-12)
+    assert result.report.t[0] == 0.0
+    assert np.isclose(result.report.t[-1], 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ("basic", "imu", "imu_quat"))
@@ -269,7 +270,7 @@ def test_lyap_steps_match_sampled_reports(name, warmed_up):
     trace = simulate_world(rc.world)
     result = run_filter(trace, rc, name)
     assert np.array_equal(lyapunov_steps(trace, rc, result)[result.sample_ks],
-                          [r.lyap for r in result.reports])
+                          result.report.lyap)
 
 
 def test_run_writes_artifacts(tmp_path, warmed_up):
@@ -294,9 +295,9 @@ def test_run_writes_artifacts(tmp_path, warmed_up):
     assert ",".join(fheader) == report_header(3)
     assert fdata.shape == (11, len(fheader))
     # diagnostics recompute exactly from the stored reports
-    rep = artifacts.results["basic"].reports[-1]
-    assert fdata[-1, 1] == rep.att_dist
-    assert fdata[-1, 2] == rep.pos_err
+    rep = artifacts.results["basic"].report
+    assert fdata[-1, 1] == rep.att_dist[-1]
+    assert fdata[-1, 2] == rep.pos_err[-1]
 
 
 def test_read_csv_rejects_bad_files(tmp_path):
@@ -351,3 +352,9 @@ def test_compare_treats_shared_nan_as_equal(tmp_path):
     b.write_text("t,lyap\n0.0,nan\n")
     deltas = compare(a, b)
     assert deltas[1].final == 0.0 and deltas[1].max == 0.0
+    # equal infinities too, without an inf - inf warning
+    a.write_text("t,x,y\n0.0,inf,-inf\n1.0,inf,2.0\n")
+    b.write_text("t,x,y\n0.0,inf,-inf\n1.0,inf,inf\n")
+    deltas = compare(a, b)
+    assert deltas[1].final == 0.0 and deltas[1].max == 0.0
+    assert deltas[2].final == np.inf and deltas[2].max == np.inf

@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,7 @@ def test_compiled_kernel_called_while_converting_arguments():
     "x = x if x else 1.0",          # a conditional expression
     "x = [x, x][0:1:1]",            # a stepped slice
     "x.append(x)",                  # append to a float
+    "x = [a for a in [x, x]][0]",   # a comprehension not over a zip
 ))
 def test_translator_rejects_code_outside_its_subset(line):
     source = f"def f(x):\n    {line}\n    return x\n"
@@ -308,6 +310,25 @@ def test_cached_build_loads_without_translator():
                           "sorted(_kernels.PY_FUNC) == sorted(_kernels._COMPILED)")
     assert out.returncode == 0 and out.stderr == ""
     assert out.stdout.splitlines() == ["compiled", "[]", "True", "True"]
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+def test_build_removes_stale_builds_of_its_environment(tmp_path):
+    """A fresh build deletes the older builds for the same compiler and
+    Python, and keeps the builds of other environments."""
+    module = _kernels._ext.__name__       # lieslam_kernels_<environment>_<source>
+    env_key, source_key = module.split("_")[-2:]
+    suffix = EXTENSION_SUFFIXES[0]
+    cache = tmp_path / "lieslam"
+    cache.mkdir()
+    stale = cache / f"lieslam_kernels_{env_key}_{'0' * 16}{suffix}"
+    other_env = cache / f"lieslam_kernels_{'0' * 16}_{source_key}{suffix}"
+    stale.write_bytes(b"")
+    other_env.write_bytes(b"")
+    out = _import_kernels(dict(os.environ, XDG_CACHE_HOME=str(tmp_path)), "_kernels.BACKEND")
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == "compiled\n"
+    assert sorted(p.name for p in cache.iterdir()) == sorted([module + suffix, other_env.name])
 
 
 # sha256 of every CSV of two 0.3 s bundled runs, recorded on the

@@ -12,14 +12,8 @@ from _support import innovation_errors, random_rotation
 from lieslam.filter_basic import BasicGains, FilterState
 from lieslam.filter_imu import ImuGains, build_kernel
 from lieslam.liegroup import Pose, Twist, so3_exp
-from lieslam.metrics import (
-    error_state,
-    evaluate,
-    lyapunov_basic,
-    lyapunov_imu,
-    report_header,
-    report_row,
-)
+from lieslam.harness import FilterRunResult, report_csv_text
+from lieslam.metrics import ErrorReport, error_state, evaluate, lyapunov, report_header
 from lieslam.quaternion import quat_to_rot
 from lieslam.worldsim import TrueState
 
@@ -47,7 +41,7 @@ def test_evaluate_exact_state_reports_zero():
     truth = _truth(rng)
     bias = Twist(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.1, 0.0]))
     fs = FilterState(pose=truth.pose, landmarks=truth.landmarks.copy(), bias=bias)
-    rep = evaluate(truth, fs, bias, lyap_kind="basic", gains=_basic_gains())
+    rep = evaluate(truth, fs, bias, gains=_basic_gains())
     assert rep.t == 1.5
     # attitude distance and innovations go through R R^T / frame round
     # trips, so they only vanish to machine precision
@@ -68,7 +62,7 @@ def test_evaluate_half_turn_attitude():
         landmarks=truth.landmarks.copy(),
         bias=Twist.zero(),
     )
-    rep = evaluate(truth, fs, Twist.zero(), lyap_kind="none")
+    rep = evaluate(truth, fs, Twist.zero())
     assert np.isclose(rep.att_dist, 1.0, atol=1e-12)
     assert np.isnan(rep.lyap)
 
@@ -85,7 +79,7 @@ def test_evaluate_innovation_matches_measurement_form():
             bias=Twist.zero(),
         )
         y = (truth.landmarks - truth.pose.position) @ truth.pose.rotation
-        rep = evaluate(truth, fs, Twist.zero(), lyap_kind="none")
+        rep = evaluate(truth, fs, Twist.zero())
         direct = np.linalg.norm(innovation_errors(fs, y), axis=1)
         assert np.abs(rep.e_norms - direct).max() < 1e-10
 
@@ -95,14 +89,10 @@ def test_evaluate_validation():
     truth = _truth(rng, n=4)
     fs = FilterState(Pose.identity(), np.zeros((3, 3)), Twist.zero())
     with pytest.raises(ValueError, match="landmark counts"):
-        evaluate(truth, fs, Twist.zero(), lyap_kind="none")
+        evaluate(truth, fs, Twist.zero())
     fs = FilterState(Pose.identity(), np.zeros((4, 3)), Twist.zero())
-    with pytest.raises(ValueError, match="BasicGains"):
-        evaluate(truth, fs, Twist.zero(), lyap_kind="basic", gains=_imu_gains())
-    with pytest.raises(ValueError, match="ImuGains"):
-        evaluate(truth, fs, Twist.zero(), lyap_kind="imu", gains=_basic_gains())
-    with pytest.raises(ValueError, match="unknown"):
-        evaluate(truth, fs, Twist.zero(), lyap_kind="energy")
+    with pytest.raises(ValueError, match="kernel"):
+        evaluate(truth, fs, Twist.zero(), gains=_imu_gains())
 
 
 def test_lyapunov_basic_hand_value():
@@ -111,7 +101,7 @@ def test_lyapunov_basic_hand_value():
                        alpha=np.array([0.5, 1.0]))
     bias_diff = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0])
     # |e_1|^2/(2*0.5) + |e_2|^2/(2*1) + 0.5*9/100
-    assert np.isclose(lyapunov_basic(e, bias_diff, gains), 1.0 + 2.0 + 0.045, atol=1e-12)
+    assert np.isclose(lyapunov(e, np.eye(3), bias_diff, gains), 1.0 + 2.0 + 0.045, atol=1e-12)
 
 
 def test_lyapunov_imu_hand_value():
@@ -121,10 +111,10 @@ def test_lyapunov_imu_hand_value():
                      gamma_2=np.full(3, 100.0), alpha=np.array([0.1]))
     r_tilde = so3_exp(np.array([0.0, 0.0, np.pi]))  # trace -1, energy term 1
     bias_diff = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
-    got = lyapunov_imu(e, r_tilde, bias_diff, gains, kernel)
+    got = lyapunov(e, r_tilde, bias_diff, gains, kernel)
     assert np.isclose(got, 5.0 + 1.0 + 0.02, atol=1e-12)
     # the block-summed filter counts the attitude energy once per landmark
-    got4 = lyapunov_imu(e, r_tilde, bias_diff, gains, kernel, att_multiplicity=4.0)
+    got4 = lyapunov(e, r_tilde, bias_diff, gains, kernel, att_multiplicity=4.0)
     assert np.isclose(got4, 5.0 + 4.0 + 0.02, atol=1e-12)
 
 
@@ -152,11 +142,11 @@ def test_stacked_record_matches_rows(steps, n, kind, data):
     bias_true = Twist(data.draw(_floats(3)), data.draw(_floats(3)))
     alpha = data.draw(_floats(n, 0.01, 10.0))
     if kind == "basic":
-        args = (kind, BasicGains(1.0, 1.0, data.draw(_floats(6, 0.01, 100.0)), alpha))
+        args = (BasicGains(1.0, 1.0, data.draw(_floats(6, 0.01, 100.0)), alpha),)
     else:
         gains = ImuGains(1.0, 1.0, 1.0, data.draw(_floats(3, 0.01, 100.0)),
                          data.draw(_floats(3, 0.01, 100.0)), alpha)
-        args = (kind, gains, build_kernel(np.eye(3), np.ones(3)), float(n))
+        args = (gains, build_kernel(np.eye(3), np.ones(3)), float(n))
     stacked = error_state(truth, est, bias_true, *args)
     for k in range(steps):
         row = error_state(
@@ -173,16 +163,24 @@ def test_report_header_layout():
 
 
 def test_report_row_round_trips_exactly():
+    """Each row of the report CSV reads back as its sample's report."""
     rng = np.random.default_rng(84)
     truth = _truth(rng)
-    fs = FilterState(
-        pose=Pose(random_rotation(rng), rng.standard_normal(3)),
-        landmarks=rng.standard_normal((4, 3)),
-        bias=Twist(rng.standard_normal(3), rng.standard_normal(3)),
-    )
-    rep = evaluate(truth, fs, Twist.zero(), lyap_kind="basic", gains=_basic_gains())
-    values = [float(v) for v in report_row(rep).split(",")]
-    expected = [rep.t, rep.att_dist, rep.pos_err, *rep.feat_err, *rep.e_norms,
-                rep.bias_err, rep.lyap]
-    assert values == [float(v) for v in expected]
-    assert len(values) == len(report_header(4).split(","))
+    reps = []
+    for _ in range(2):
+        fs = FilterState(
+            pose=Pose(random_rotation(rng), rng.standard_normal(3)),
+            landmarks=rng.standard_normal((4, 3)),
+            bias=Twist(rng.standard_normal(3), rng.standard_normal(3)),
+        )
+        reps.append(evaluate(truth, fs, Twist.zero(), gains=_basic_gains()))
+    stacked = ErrorReport._make(map(np.array, zip(*reps)))
+    result = FilterRunResult("basic", np.arange(2), None, None, None, None, stacked, 0.0)
+    header, *rows = report_csv_text(result, 4).splitlines()
+    assert header == report_header(4) and len(rows) == 2
+    for row, rep in zip(rows, reps):
+        values = [float(v) for v in row.split(",")]
+        expected = [rep.t, rep.att_dist, rep.pos_err, *rep.feat_err, *rep.e_norms,
+                    rep.bias_err, rep.lyap]
+        assert values == [float(v) for v in expected]
+        assert len(values) == len(report_header(4).split(","))

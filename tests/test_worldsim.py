@@ -350,10 +350,12 @@ def test_trace_is_deterministic():
 
 def test_trace_seed_override():
     cfg = WorldConfig.from_dict(_world_dict(duration=0.1))
-    reseeded = simulate_world(cfg, seed=99)
+    reseeded = simulate_world(dataclasses.replace(cfg, rng_seed=99))
     equivalent = simulate_world(dataclasses.replace(cfg, rng_seed=99))
     assert np.array_equal(reseeded.u_m, equivalent.u_m)
     assert np.array_equal(reseeded.y, equivalent.y)
+    # the trace names the seed it drew from
+    assert reseeded.cfg.rng_seed == 99
     # and a different seed actually changes the noise
     assert not np.array_equal(reseeded.u_m, simulate_world(cfg).u_m)
 
