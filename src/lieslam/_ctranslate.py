@@ -414,7 +414,10 @@ def build(laws: str, target: str, module: str, cc: str, replaces: str) -> None:
     """Translate the ``laws`` source file (``_laws.py``) and compile it
     with the compiler command ``cc`` into ``target``; the file appears
     whole or not at all (built beside it, then renamed).  Then the other
-    files beside it whose names start with ``replaces`` are deleted."""
+    files beside it whose names start with ``replaces`` are deleted, and
+    so are the builds named by a source key alone
+    (``lieslam_kernels_<16 hex><suffix>``), the form before the
+    environment key."""
     include = sysconfig.get_paths()["include"]
     if not os.path.isfile(os.path.join(include, "Python.h")):
         raise BuildError(f"no Python.h in {include}")
@@ -437,6 +440,7 @@ def build(laws: str, target: str, module: str, cc: str, replaces: str) -> None:
             raise BuildError(f"{cc} exited with status {done.returncode}: "
                              f"{done.stderr.strip()[-500:]}")
         os.replace(out, target)
-    for old in target.parent.glob(replaces + "*"):
+    one_key = "lieslam_kernels_" + "[0-9a-f]" * 16 + target.name[len(module):]
+    for old in (*target.parent.glob(replaces + "*"), *target.parent.glob(one_key)):
         if old != target:
             old.unlink(missing_ok=True)

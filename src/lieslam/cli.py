@@ -11,10 +11,12 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .filter_basic import FilterDivergence
-from .harness import FILTER_CHOICES, RunConfig, load_run_config, run
-from .worldsim import ConfigError
+from .config import FILTER_CHOICES, ConfigError, integer
+
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,6 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seed_worker(rc: RunConfig, seed: int) -> None:
+    from .harness import run
+
     run(replace(rc, world=replace(rc.world, rng_seed=seed)), suffix=f"_seed{seed}")
 
 
@@ -50,6 +54,8 @@ def _run_seeds(rc: RunConfig, runs: int) -> int:
     """Run consecutive seeds in a worker pool and report each one; the
     exit code is the worst over the seeds."""
     from concurrent.futures import ProcessPoolExecutor  # costs ~10 ms; single runs skip it
+
+    from .filter_basic import FilterDivergence
 
     seeds = [rc.world.rng_seed + i for i in range(runs)]
     code = 0
@@ -69,6 +75,9 @@ def _run_seeds(rc: RunConfig, runs: int) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .filter_basic import FilterDivergence  # compare never needs the run path
+    from .harness import load_run_config, run
+
     try:
         rc = load_run_config(args.config)
         if args.filter is not None:
@@ -76,17 +85,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.out is not None:
             rc = replace(rc, output_dir=Path(args.out))
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be >= 0")
-            rc = replace(rc, world=replace(rc.world, rng_seed=args.seed))
-        if args.runs < 1:
-            raise ConfigError("--runs: must be >= 1")
+            rc = replace(rc, world=replace(rc.world, rng_seed=integer(args.seed, "--seed", 0)))
+        runs = integer(args.runs, "--runs", 1)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.runs > 1:
-        return _run_seeds(rc, args.runs)
+    if runs > 1:
+        return _run_seeds(rc, runs)
     try:
         artifacts = run(rc)
     except FilterDivergence as exc:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .worldsim import ConfigError, read_error
+from .config import ConfigError, read_error
 
 
 def read_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

@@ -17,25 +17,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filter_basic import BasicGains, FilterDivergence, FilterState, basic_step
-from .filter_imu import ImuGains, build_kernel, imu_step
-from .liegroup import Pose, Twist
-from .metrics import ErrorReport, evaluate, report_header
-from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
-from .worldsim import (
+from .config import (
+    FILTER_CHOICES,
     ConfigError,
-    WorldConfig,
-    WorldTrace,
+    fields,
     floats,
     integer,
     read_error,
     rotation,
     scalar,
-    simulate_world,
-    steps_do_not_fit,
 )
-
-FILTER_CHOICES = ("basic", "imu", "imu_quat", "both")
+from .filter_basic import BasicGains, FilterDivergence, FilterState, basic_step
+from .filter_imu import ImuGains, build_kernel, imu_step
+from .liegroup import Pose, Twist
+from .metrics import ErrorReport, evaluate, report_header
+from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
+from .worldsim import WorldConfig, WorldTrace, simulate_world, steps_do_not_fit
 
 
 @dataclass(frozen=True)
@@ -72,12 +69,8 @@ class RunConfig:
 
 
 def _broadcast(raw, length: int, key: str) -> np.ndarray:
-    arr = floats(raw, key)
-    if arr.ndim == 0:
-        return np.full(length, float(arr))
-    if arr.shape != (length,):
-        raise ConfigError(f"{key}: expected a scalar or {length} values")
-    return arr
+    """One number repeated ``length`` times, or a list of ``length``."""
+    return np.full(length, floats(raw, key, (length,) if isinstance(raw, list) else ()))
 
 
 # gains block -> (gains class, scalar gains, diagonal gains and their sizes)
@@ -90,11 +83,7 @@ _GAINS = {
 def _parse_gains(block: str, raw, n: int) -> BasicGains | ImuGains:
     cls, scalars, diagonals = _GAINS[block]
     key = f"gains.{block}"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{key}: expected an object")
-    for name in scalars:
-        if name not in raw:
-            raise ConfigError(f"{key}.{name}: required")
+    fields(raw, key, (*scalars, *diagonals, "alpha"), scalars)
     kwargs = {name: scalar(raw[name], f"{key}.{name}") for name in scalars}
     for name, size in diagonals.items():
         kwargs[name] = _broadcast(raw.get(name, 1.0), size, f"{key}.{name}")
@@ -107,41 +96,21 @@ def _parse_gains(block: str, raw, n: int) -> BasicGains | ImuGains:
 
 def parse_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
-    known = {"world", "filter", "gains", "init", "output_dir", "sample_stride",
-             "simplified_form"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-    if "world" not in raw:
-        raise ConfigError("world: required")
-
+    fields(raw, "", ("world", "filter", "gains", "init", "output_dir", "sample_stride",
+                     "simplified_form"), ("world",))
     world = WorldConfig.from_dict(raw["world"])
     n = world.n_landmarks
 
-    gains_raw = raw.get("gains", {})
-    if not isinstance(gains_raw, dict):
-        raise ConfigError("gains: expected an object")
+    gains_raw = fields(raw.get("gains", {}), "gains", _GAINS)
     gains = {block: _parse_gains(block, gains_raw[block], n)
              for block in _GAINS if block in gains_raw}
 
-    init_raw = raw.get("init", {})
-    if not isinstance(init_raw, dict):
-        raise ConfigError("init: expected an object")
+    init_raw = fields(raw.get("init", {}), "init", ("rotation", "position", "landmarks", "bias"))
     rot = rotation(init_raw.get("rotation", np.eye(3).ravel()), "init.rotation")
-
-    position = floats(init_raw.get("position", np.zeros(3)), "init.position")
-    if position.shape != (3,):
-        raise ConfigError("init.position: expected 3 numbers")
-
-    landmarks = floats(init_raw.get("landmarks", np.zeros((n, 3))), "init.landmarks")
-    if landmarks.shape != (n, 3):
-        raise ConfigError(f"init.landmarks: expected {n} 3-vectors")
-
-    bias = floats(init_raw.get("bias", np.zeros(6)), "init.bias")
-    if bias.shape != (6,):
-        raise ConfigError("init.bias: expected 6 numbers (angular then linear)")
+    position = floats(init_raw.get("position", np.zeros(3)), "init.position", (3,))
+    landmarks = floats(init_raw.get("landmarks", np.zeros((n, 3))), "init.landmarks", (n, 3))
+    bias = floats(init_raw.get("bias", np.zeros(6)), "init.bias", (6,),
+                  "numbers (angular then linear)")
 
     stride = integer(raw.get("sample_stride", 1), "sample_stride", 1)
 
@@ -303,7 +272,8 @@ def run_filter(trace: WorldTrace, rc: RunConfig, name: str) -> FilterRunResult:
             raise FilterDivergence(f"{name}: step {k} (t={k * dt:.6g}): {exc}") from None
 
     rotations = quat_to_rot(attitudes) if quat else attitudes
-    sample_ks = np.arange(0, k_steps + 1, rc.sample_stride)
+    # a stride beyond the run samples step 0 alone, whatever its size
+    sample_ks = np.arange(0, k_steps + 1, min(rc.sample_stride, k_steps + 1))
     bias_true = Twist(cfg.bias_omega, cfg.bias_v)
     reports = [
         evaluate(trace.true_state(k), _recorded_state(rotations, positions, landmarks, biases, k),

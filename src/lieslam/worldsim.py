@@ -14,25 +14,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .liegroup import Pose, Twist, orthonormalize, rotation_defect
+from .config import ConfigError, fields, floats, integer, rotation, scalar
+from .liegroup import Pose, Twist
 
 # Configured reference directions closer than this angle (radians) cannot
 # span a triad and are rejected at config time.
 _COLLINEAR_TOL = 1e-3
-# Accepting a printed-to-few-digits rotation and repairing it is fine;
-# anything further from orthonormal than this is a config mistake.
-_INIT_ROTATION_SLACK = 1e-2
-
-
-class ConfigError(ValueError):
-    """A configuration document failed validation."""
-
-
-def read_error(exc: OSError | UnicodeDecodeError) -> str:
-    """Why a config or CSV file could not be read, for a ConfigError."""
-    if isinstance(exc, UnicodeDecodeError):
-        return f"not UTF-8 text (byte {exc.start})"
-    return exc.strerror or str(exc)
 
 
 def steps_do_not_fit(k_steps: int) -> ConfigError:
@@ -50,80 +37,17 @@ class LinearProfile(NamedTuple):
     def parse(cls, raw, key: str) -> "LinearProfile":
         """Accept either a plain 3-vector or {"const": ..., "slope": ...}."""
         if isinstance(raw, dict):
-            unknown = set(raw) - {"const", "slope"}
-            if unknown:
-                raise ConfigError(f"{key}: unknown keys {sorted(unknown)}")
-            const = _vec3(raw.get("const", [0.0, 0.0, 0.0]), f"{key}.const")
-            slope = _vec3(raw.get("slope", [0.0, 0.0, 0.0]), f"{key}.slope")
-            return cls(const, slope)
-        return cls(_vec3(raw, key), np.zeros(3))
+            fields(raw, key, ("const", "slope"))
+            return cls(floats(raw.get("const", [0.0, 0.0, 0.0]), f"{key}.const", (3,)),
+                       floats(raw.get("slope", [0.0, 0.0, 0.0]), f"{key}.slope", (3,)))
+        return cls(floats(raw, key, (3,)), np.zeros(3))
 
 
-def _has_text_or_bool(raw) -> bool:
-    """Whether a string or a boolean sits anywhere in a JSON value;
-    numpy would read "5" and true as the numbers 5 and 1."""
-    stack = [raw]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (str, bool)):
-            return True
-        if isinstance(item, list):
-            stack.extend(item)
-    return False
-
-
-def floats(raw, key: str) -> np.ndarray:
-    """The finite numbers of a JSON value, as a float array."""
-    if _has_text_or_bool(raw):
-        raise ConfigError(f"{key}: expected numbers")
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected numbers") from None
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{key}: expected finite numbers") from None
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{key}: expected finite numbers")
-    return arr
-
-
-def scalar(raw, key: str) -> float:
-    arr = floats(raw, key)
-    if arr.ndim != 0:
-        raise ConfigError(f"{key}: expected a number")
-    return float(arr)
-
-
-def integer(raw, key: str, minimum: int) -> int:
-    """A JSON integer (not a bool, not 2.0) of at least ``minimum``."""
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{key}: expected an integer")
-    if raw < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}")
-    return raw
-
-
-def rotation(raw, key: str) -> np.ndarray:
-    """A row-major 3x3 rotation within _INIT_ROTATION_SLACK of
-    orthonormal, repaired by :func:`orthonormalize`.
-
-    An entry beyond 2 in magnitude already puts R^T R off the identity
-    by more than 3, so it is rejected before the product can overflow.
-    """
-    rot = floats(raw, key)
-    if rot.size != 9:
-        raise ConfigError(f"{key}: expected 9 scalars (row-major)")
-    rot = rot.reshape(3, 3)
-    if np.abs(rot).max() > 2.0 or rotation_defect(rot) > _INIT_ROTATION_SLACK:
-        raise ConfigError(f"{key}: not close to a rotation matrix")
-    return orthonormalize(rot)
-
-
-def _vec3(raw, key: str) -> np.ndarray:
-    arr = floats(raw, key)
-    if arr.shape != (3,):
-        raise ConfigError(f"{key}: expected 3 numbers, got shape {arr.shape}")
-    return arr
+_WORLD_KEYS = (
+    "landmarks", "imu_refs", "sensor_weights", "omega_true", "v_true", "bias_omega", "bias_v",
+    "noise_std_omega", "noise_std_v", "feature_noise_std", "dt", "duration", "rng_seed",
+    "init_rotation", "init_position",
+)
 
 
 @dataclass(frozen=True)
@@ -156,46 +80,25 @@ class WorldConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WorldConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("world: expected an object")
-        known = {
-            "landmarks", "imu_refs", "sensor_weights", "omega_true", "v_true",
-            "bias_omega", "bias_v", "noise_std_omega", "noise_std_v",
-            "feature_noise_std", "dt", "duration", "rng_seed",
-            "init_rotation", "init_position",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"world: unknown keys {sorted(unknown)}")
-        for req in ("landmarks", "imu_refs", "dt", "duration"):
-            if req not in raw:
-                raise ConfigError(f"world.{req}: required")
-
-        landmarks = floats(raw["landmarks"], "world.landmarks")
-        if landmarks.ndim != 2 or landmarks.shape[1] != 3:
-            raise ConfigError("world.landmarks: expected a list of 3-vectors")
+        fields(raw, "world", _WORLD_KEYS, ("landmarks", "imu_refs", "dt", "duration"))
+        landmarks = floats(raw["landmarks"], "world.landmarks", (None, 3))
         if landmarks.shape[0] < 3:
-            raise ConfigError(
-                f"world.landmarks: need at least 3, got {landmarks.shape[0]}"
-            )
+            raise ConfigError(f"world.landmarks: need at least 3, got {landmarks.shape[0]}")
 
-        imu_refs = floats(raw["imu_refs"], "world.imu_refs")
-        if imu_refs.ndim != 2 or imu_refs.shape[1] != 3:
-            raise ConfigError("world.imu_refs: expected a list of 3-vectors")
+        imu_refs = floats(raw["imu_refs"], "world.imu_refs", (None, 3))
         if imu_refs.shape[0] < 2:
             raise ConfigError("world.imu_refs: need at least 2 directions")
         augmented_refs(imu_refs)  # raises ConfigError if collinear
 
         n_dirs = imu_refs.shape[0] + 1
-        weights = floats(raw.get("sensor_weights", np.ones(n_dirs)), "world.sensor_weights")
-        if weights.shape != (n_dirs,):
-            raise ConfigError(
-                f"world.sensor_weights: expected {n_dirs} weights "
-                "(configured refs + synthesized third)"
-            )
-        if (weights < 0).any() or weights.sum() <= 0:
-            raise ConfigError("world.sensor_weights: must be nonnegative, not all zero")
-        weights = weights * (3.0 / weights.sum())
+        weights = floats(raw.get("sensor_weights", np.ones(n_dirs)), "world.sensor_weights",
+                         (n_dirs,), "weights (configured refs + synthesized third)")
+        with np.errstate(all="ignore"):  # a zero, overflowing or subnormal sum fails below
+            scale = 3.0 / weights.sum()
+        if (weights < 0).any() or not 0 < scale < np.inf:
+            raise ConfigError("world.sensor_weights: must be nonnegative, not all zero, "
+                              "with a finite sum")
+        weights = weights * scale
 
         dt = scalar(raw["dt"], "world.dt")
         duration = scalar(raw["duration"], "world.duration")
@@ -220,13 +123,14 @@ class WorldConfig:
             sensor_weights=weights,
             omega_true=LinearProfile.parse(raw.get("omega_true", [0, 0, 0]), "world.omega_true"),
             v_true=LinearProfile.parse(raw.get("v_true", [0, 0, 0]), "world.v_true"),
-            bias_omega=_vec3(raw.get("bias_omega", [0, 0, 0]), "world.bias_omega"),
-            bias_v=_vec3(raw.get("bias_v", [0, 0, 0]), "world.bias_v"),
+            bias_omega=floats(raw.get("bias_omega", [0, 0, 0]), "world.bias_omega", (3,)),
+            bias_v=floats(raw.get("bias_v", [0, 0, 0]), "world.bias_v", (3,)),
             dt=dt,
             duration=duration,
             rng_seed=rng_seed,
             init_rotation=init_rotation,
-            init_position=_vec3(raw.get("init_position", [0, 0, 0]), "world.init_position"),
+            init_position=floats(raw.get("init_position", [0, 0, 0]), "world.init_position",
+                                 (3,)),
             **noise,
         )
 
@@ -356,7 +260,7 @@ def simulate_world(cfg: WorldConfig) -> WorldTrace:
         else:
             noise = rng.standard_normal((k_steps, 6))
             feat_noise = np.zeros((k_steps, 1, 3))
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy raises ValueError beyond its maximum size
         raise steps_do_not_fit(k_steps) from None
     _kernels.world_trace(
         cfg.init_rotation.ravel().tolist(), cfg.init_position.tolist(),

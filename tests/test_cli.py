@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lieslam
 from _support import small_run_dict, small_world_dict
 from lieslam.cli import main
 from lieslam.harness import bundled_config_path
@@ -126,6 +131,16 @@ MALFORMED = {
                                  "world.init_rotation"),
     "init_rotation_huge": (_set("init", {"rotation": [1e200, 0, 0, 0, 1, 0, 0, 0, 1]}), [],
                            "init.rotation"),
+    # numpy refuses the arrays with a ValueError rather than a MemoryError
+    "steps_beyond_array_size": (lambda doc: doc["world"].update(dt=1e-20, duration=1), [],
+                                "world.duration"),
+    "weights_sum_overflows": (_set("world", "sensor_weights", [1e308, 1e308, 1e308]), [],
+                              "world.sensor_weights"),
+    # every object of the config rejects a key it does not know
+    "gains_imu_unknown_key": (_set("gains", "imu", "gamma", 7), [], "gains.imu"),
+    "gains_basic_unknown_key": (_set("gains", "basic", "k_2", 1.0), [], "gains.basic"),
+    "gains_unknown_block": (_set("gains", "quat", {"k_w": 1.0}), [], "gains"),
+    "init_unknown_key": (_set("init", {"rotaton": [0, 1, 0, -1, 0, 0, 0, 0, 1]}), [], "init"),
 }
 
 
@@ -154,6 +169,41 @@ def test_run_unreadable_config_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"error: {cfg}: cannot read the config" in err
     assert "Traceback" not in err
+
+
+def test_run_stride_beyond_the_run_samples_step_0(tmp_path, warmed_up):
+    doc = small_run_dict(sample_stride=10**30)
+    doc["world"]["duration"] = 0.05
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    for name in ("truth.csv", "filter_basic.csv", "estimate_imu.csv"):
+        header, row = (out / name).read_text().splitlines()
+        assert row.startswith("0.0,")
+
+
+def test_compare_loads_no_filter_or_kernel(tmp_path):
+    """``lieslam compare`` neither builds nor loads the kernels, and the
+    CLI imports none of the run path until it runs something."""
+    csv = tmp_path / "a.csv"
+    csv.write_text("t,v\n0.0,1.0\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+               PYTHONPATH=str(Path(lieslam.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "lieslam", "compare",
+                           str(csv), str(csv)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "t: final_delta=0 max_delta=0\nv: final_delta=0 max_delta=0\n"
+    assert not list(cache.iterdir())
+    run_path = ["lieslam._kernels", "lieslam._laws", "lieslam._ctranslate", "lieslam.harness",
+                "lieslam.worldsim", "lieslam.filter_basic", "lieslam.filter_imu",
+                "lieslam.quaternion", "lieslam.metrics"]
+    loaded = subprocess.run([sys.executable, "-W", "error", "-c",
+                             "import sys, lieslam.cli, lieslam.compare; "
+                             f"print([m for m in {run_path} if m in sys.modules])"],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert (loaded.returncode, loaded.stderr, loaded.stdout) == (0, "", "[]\n")
 
 
 def test_run_rejects_bad_runs_count(tmp_path, capsys):

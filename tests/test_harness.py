@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from _support import lyapunov_steps, small_run_dict, small_world_dict
 from lieslam.compare import compare, read_csv
+from lieslam.config import ConfigError
 from lieslam.harness import (
     bundled_config_path,
     load_run_config,
@@ -21,7 +22,7 @@ from lieslam.harness import (
 )
 from lieslam.liegroup import rotation_defect
 from lieslam.metrics import report_header
-from lieslam.worldsim import ConfigError, simulate_world
+from lieslam.worldsim import simulate_world
 
 
 # ------------------------------------------------------------------ parsing

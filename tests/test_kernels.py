@@ -315,16 +315,18 @@ def test_cached_build_loads_without_translator():
 @pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
 def test_build_removes_stale_builds_of_its_environment(tmp_path):
     """A fresh build deletes the older builds for the same compiler and
-    Python, and keeps the builds of other environments."""
+    Python and the builds named by a source key alone (the form before
+    the environment key), and keeps the builds of other environments."""
     module = _kernels._ext.__name__       # lieslam_kernels_<environment>_<source>
     env_key, source_key = module.split("_")[-2:]
     suffix = EXTENSION_SUFFIXES[0]
     cache = tmp_path / "lieslam"
     cache.mkdir()
     stale = cache / f"lieslam_kernels_{env_key}_{'0' * 16}{suffix}"
+    one_key = cache / f"lieslam_kernels_0123456789abcdef{suffix}"
     other_env = cache / f"lieslam_kernels_{'0' * 16}_{source_key}{suffix}"
-    stale.write_bytes(b"")
-    other_env.write_bytes(b"")
+    for planted in (stale, one_key, other_env):
+        planted.write_bytes(b"")
     out = _import_kernels(dict(os.environ, XDG_CACHE_HOME=str(tmp_path)), "_kernels.BACKEND")
     assert out.returncode == 0 and out.stderr == ""
     assert out.stdout == "compiled\n"

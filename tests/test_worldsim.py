@@ -17,9 +17,9 @@ from _support import (
     sample_imu,
     sample_velocity,
 )
+from lieslam.config import ConfigError
 from lieslam.liegroup import Pose, Twist
 from lieslam.worldsim import (
-    ConfigError,
     LinearProfile,
     WorldConfig,
     augmented_refs,
