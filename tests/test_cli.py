@@ -304,3 +304,13 @@ def test_compare_schema_mismatch(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_run_overflowing_velocity_noise_exits_3(tmp_path, capsys, warmed_up):
+    """A noise level whose samples overflow gives infinite measurements
+    silently; the estimator that reads them stops with exit 3."""
+    doc = small_run_dict()
+    doc["world"].update(duration=0.05, noise_std_v=1e308)
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite" in capsys.readouterr().err

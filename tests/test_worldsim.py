@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -372,3 +373,22 @@ def test_zero_noise_velocity_stream_is_exact():
         state = propagate_true(state, Twist.from_vector(trace.u_m[k] - bias), cfg.dt)
     assert np.abs(state.pose.rotation - trace.rotations[-1]).max() < 1e-12
     assert np.abs(state.pose.position - trace.positions[-1]).max() < 1e-12
+
+
+def test_trace_bytes_are_pinned():
+    """The exact bytes of a trace on the paths the CSV digests skip:
+    feature noise, three configured directions with unequal weights,
+    sloped profiles and nonzero biases."""
+    cfg = WorldConfig.from_dict(_world_dict(
+        imu_refs=[[1.0, -1.0, 1.0], [0.0, 0.0, 1.0], [0.3, 1.0, -0.2]],
+        sensor_weights=[0.5, 1.5, 2.0, 1.0],
+        omega_true={"const": [0.1, -0.2, 0.3], "slope": [0.05, 0.0, -0.1]},
+        feature_noise_std=0.05,
+        duration=0.2,
+    ))
+    trace = simulate_world(cfg)
+    digest = hashlib.sha256()
+    for arr in (trace.rotations, trace.positions, trace.u_m, trace.y, trace.imu_body):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == (
+        "174c2b7070046ae7181229802ec299305015ab66fbd67a03ac1320df354558bc")
