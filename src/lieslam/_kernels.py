@@ -20,9 +20,11 @@ step functions call through it (``basic_sample``, ``imu_sample``,
 :data:`PY_FUNC` maps the six names to the ``_laws`` functions, the
 compiled build's parity oracle; it imports ``_laws`` on first access.
 
-:func:`world_trace` fills a whole simulated run in one call, on Python
+:func:`world_trace` is the truth recursion of a simulated run: the pose
+at every instant and at every interval midpoint, in one call on Python
 floats in either case.  It keeps the laws' float discipline (see
-``_laws``), with ``np.sin``/``np.cos`` where it needs them.
+``_laws``), with ``np.sin``/``np.cos`` where it needs them.  The
+measurements taken from those poses are ``worldsim``'s.
 """
 
 from __future__ import annotations
@@ -107,96 +109,32 @@ def _exp_step(r, p, om, v, h):
              p2 + r20 * t0 + r21 * t1 + r22 * tz))
 
 
-def world_trace(r0, p0, lm, refs, om_c, om_s, v_c, v_s, bias_om, bias_v,
-                std_om, std_v, std_feat, vel_noise, feat_noise, dt, k_steps,
-                rotations, positions, u_m, y, imu_body):
-    """Fill a full ground-truth trace plus midpoint-sampled measurements.
-
-    Per interval, exactly what the single-step reference samplers in
-    ``tests/_support.py`` produce: measured twist from the
-    interval-midpoint truth plus bias and scaled noise,
-    features/directions from the midpoint pose, truth advanced by the
-    midpoint twist.  Noise comes pre-drawn so the caller owns the RNG.
-    ``r0`` is the initial rotation as a row-major 9-sequence, ``lm``
-    and ``refs`` go row by row; the outputs are
-    arrays with one row per step, rotations flattened to 9 columns,
-    features and directions to 3n and 3m.
+def world_trace(r0, p0, om_c, om_s, v_c, v_s, dt, k_steps,
+                rotations, positions, mid_rotations, mid_positions):
+    """Fill the truth at the K + 1 instants and the pose at the K interval
+    midpoints: the truth advances by the midpoint twist held for dt, a
+    midpoint pose by the quarter-point twist held for dt / 2.  Rotations
+    go row-major, 9 to a row, from ``r0`` on.
     """
     om_c0, om_c1, om_c2 = om_c
     om_s0, om_s1, om_s2 = om_s
     v_c0, v_c1, v_c2 = v_c
     v_s0, v_s1, v_s2 = v_s
-    bo0, bo1, bo2 = bias_om
-    bv0, bv1, bv2 = bias_v
     r = tuple(r0)
     p = tuple(p0)
-    feat = std_feat > 0.0
-    m = len(refs)
     for k in range(k_steps):
         rotations[k] = r
         positions[k] = p
-
         t_mid = (k + 0.5) * dt
         t_quarter = (k + 0.25) * dt
-        om_true = (om_c0 + om_s0 * t_mid, om_c1 + om_s1 * t_mid, om_c2 + om_s2 * t_mid)
-        v_true = (v_c0 + v_s0 * t_mid, v_c1 + v_s1 * t_mid, v_c2 + v_s2 * t_mid)
-        u_m[k] = (
-            om_true[0] + bo0 + std_om * float(vel_noise[k, 0]),
-            om_true[1] + bo1 + std_om * float(vel_noise[k, 1]),
-            om_true[2] + bo2 + std_om * float(vel_noise[k, 2]),
-            v_true[0] + bv0 + std_v * float(vel_noise[k, 3]),
-            v_true[1] + bv1 + std_v * float(vel_noise[k, 4]),
-            v_true[2] + bv2 + std_v * float(vel_noise[k, 5]),
-        )
-
-        rm, pm = _exp_step(r, p, (om_c0 + om_s0 * t_quarter,
-                                  om_c1 + om_s1 * t_quarter,
-                                  om_c2 + om_s2 * t_quarter),
-                           (v_c0 + v_s0 * t_quarter,
-                            v_c1 + v_s1 * t_quarter,
-                            v_c2 + v_s2 * t_quarter), 0.5 * dt)
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = rm
-        pm0, pm1, pm2 = pm
-
-        for i in range(len(lm)):
-            l0, l1, l2 = lm[i]
-            d0 = l0 - pm0
-            d1 = l1 - pm1
-            d2 = l2 - pm2
-            c0 = d0 * m00 + d1 * m10 + d2 * m20
-            c1 = d0 * m01 + d1 * m11 + d2 * m21
-            c2 = d0 * m02 + d1 * m12 + d2 * m22
-            if feat:
-                c0 += std_feat * float(feat_noise[k, i, 0])
-                c1 += std_feat * float(feat_noise[k, i, 1])
-                c2 += std_feat * float(feat_noise[k, i, 2])
-            y[k, 3 * i] = c0
-            y[k, 3 * i + 1] = c1
-            y[k, 3 * i + 2] = c2
-
-        # body rows of the configured directions, then the renormalized
-        # cross product of the first two
-        for j in range(m - 1):
-            f0, f1, f2 = refs[j]
-            imu_body[k, 3 * j] = f0 * m00 + f1 * m10 + f2 * m20
-            imu_body[k, 3 * j + 1] = f0 * m01 + f1 * m11 + f2 * m21
-            imu_body[k, 3 * j + 2] = f0 * m02 + f1 * m12 + f2 * m22
-        a0 = float(imu_body[k, 0])
-        a1 = float(imu_body[k, 1])
-        a2 = float(imu_body[k, 2])
-        b0 = float(imu_body[k, 3])
-        b1 = float(imu_body[k, 4])
-        b2 = float(imu_body[k, 5])
-        t0 = a1 * b2 - a2 * b1
-        t1 = a2 * b0 - a0 * b2
-        t2 = a0 * b1 - a1 * b0
-        tn = sqrt(t0 ** 2 + t1 ** 2 + t2 ** 2)
-        imu_body[k, 3 * m - 3] = t0 / tn
-        imu_body[k, 3 * m - 2] = t1 / tn
-        imu_body[k, 3 * m - 1] = t2 / tn
-
-        r, p = _exp_step(r, p, om_true, v_true, dt)
-
+        mid_rotations[k], mid_positions[k] = _exp_step(
+            r, p, (om_c0 + om_s0 * t_quarter, om_c1 + om_s1 * t_quarter,
+                   om_c2 + om_s2 * t_quarter),
+            (v_c0 + v_s0 * t_quarter, v_c1 + v_s1 * t_quarter, v_c2 + v_s2 * t_quarter),
+            0.5 * dt)
+        r, p = _exp_step(r, p, (om_c0 + om_s0 * t_mid, om_c1 + om_s1 * t_mid,
+                                om_c2 + om_s2 * t_mid),
+                         (v_c0 + v_s0 * t_mid, v_c1 + v_s1 * t_mid, v_c2 + v_s2 * t_mid), dt)
     rotations[k_steps] = r
     positions[k_steps] = p
 

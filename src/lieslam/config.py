@@ -97,7 +97,8 @@ def integer(raw, key: str, minimum: int) -> int:
 
 def rotation(raw, key: str) -> np.ndarray:
     """A row-major 3x3 rotation within _INIT_ROTATION_SLACK of
-    orthonormal, repaired by :func:`orthonormalize`.
+    orthonormal, repaired by :func:`orthonormalize`; a reflection
+    (determinant -1) is orthonormal but no rotation.
 
     An entry beyond 2 in magnitude already puts R^T R off the identity
     by more than 3, so it is rejected before the product can overflow.
@@ -106,6 +107,7 @@ def rotation(raw, key: str) -> np.ndarray:
     if rot.size != 9:
         raise ConfigError(f"{key}: expected 9 scalars (row-major)")
     rot = rot.reshape(3, 3)
-    if np.abs(rot).max() > 2.0 or rotation_defect(rot) > _INIT_ROTATION_SLACK:
+    if (np.abs(rot).max() > 2.0 or rotation_defect(rot) > _INIT_ROTATION_SLACK
+            or np.linalg.det(rot) < 0):
         raise ConfigError(f"{key}: not close to a rotation matrix")
     return orthonormalize(rot)

@@ -34,6 +34,14 @@ class FilterState(NamedTuple):
     bias: Twist
 
 
+def positive(values) -> bool:
+    """Whether every entry is positive with a finite reciprocal: the laws
+    divide by alpha, the Lyapunov candidates by gamma."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        return bool((values > 0).all() and np.isfinite(1.0 / values).all())
+
+
 @dataclass(frozen=True)
 class BasicGains:
     """Gains of the feature-only observer.
@@ -51,12 +59,13 @@ class BasicGains:
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        if not (self.k_w > 0 and self.k_1 > 0):
-            raise ValueError("k_w and k_1 must be positive")
-        if self.gamma.shape != (6,) or not (self.gamma > 0).all():
-            raise ValueError("gamma must be 6 positive diagonal entries")
-        if self.alpha.ndim != 1 or not (self.alpha > 0).all():
-            raise ValueError("alpha must be positive, one entry per landmark")
+        if not positive([self.k_w, self.k_1]):
+            raise ValueError("k_w and k_1 must be positive with finite reciprocals")
+        if self.gamma.shape != (6,) or not positive(self.gamma):
+            raise ValueError("gamma must be 6 positive diagonal entries with finite reciprocals")
+        if self.alpha.ndim != 1 or not positive(self.alpha):
+            raise ValueError("alpha must be positive with finite reciprocals, one entry per "
+                             "landmark")
 
 
 # The pose correction's feedback through the lever arms g_i = R-hat y_i

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .filter_basic import FilterState, pack_state, run_sample, unpack_state
+from .filter_basic import FilterState, pack_state, positive, run_sample, unpack_state
 from .worldsim import MeasurementBundle
 
 
@@ -44,14 +44,16 @@ class ImuGains:
         object.__setattr__(self, "gamma_1", np.asarray(self.gamma_1, dtype=float))
         object.__setattr__(self, "gamma_2", np.asarray(self.gamma_2, dtype=float))
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        if not (self.k_w > 0 and self.k_1 > 0 and self.k_2 > 0):
-            raise ValueError("k_w, k_1, k_2 must be positive")
+        if not positive([self.k_w, self.k_1, self.k_2]):
+            raise ValueError("k_w, k_1, k_2 must be positive with finite reciprocals")
         for name in ("gamma_1", "gamma_2"):
             g = getattr(self, name)
-            if g.shape != (3,) or not (g > 0).all():
-                raise ValueError(f"{name} must be 3 positive diagonal entries")
-        if self.alpha.ndim != 1 or not (self.alpha > 0).all():
-            raise ValueError("alpha must be positive, one entry per landmark")
+            if g.shape != (3,) or not positive(g):
+                raise ValueError(f"{name} must be 3 positive diagonal entries with finite "
+                                 "reciprocals")
+        if self.alpha.ndim != 1 or not positive(self.alpha):
+            raise ValueError("alpha must be positive with finite reciprocals, one entry per "
+                             "landmark")
 
 
 class AttitudeKernel(NamedTuple):

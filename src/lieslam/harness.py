@@ -32,7 +32,7 @@ from .filter_imu import ImuGains, build_kernel, imu_step
 from .liegroup import Pose, Twist
 from .metrics import ErrorReport, evaluate, report_header
 from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
-from .worldsim import WorldConfig, WorldTrace, simulate_world, steps_do_not_fit
+from .worldsim import WorldConfig, WorldTrace, augmented_refs, simulate_world, steps_do_not_fit
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,11 @@ class RunConfig:
             block = "basic" if name == "basic" else "imu"
             if getattr(self, f"gains_{block}") is None:
                 raise ConfigError(f"gains.{block}: required for the selected filter")
+        if self.filters() != ["basic"]:
+            try:
+                build_kernel(augmented_refs(self.world.imu_refs), self.world.sensor_weights)
+            except ValueError as exc:
+                raise ConfigError(f"world.sensor_weights: {exc}") from None
 
     def filters(self) -> list[str]:
         if self.filter_kind == "both":

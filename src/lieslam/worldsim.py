@@ -9,6 +9,7 @@ augmented to a full triad by cross products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -220,6 +221,14 @@ class WorldTrace(NamedTuple):
         )
 
 
+def _in_body(vectors, rot, out, prod):
+    """out = vectors rot per step, the sum over the rows of rot taken left
+    to right as on Python floats; ``prod`` is scratch of out's shape."""
+    np.multiply(vectors[..., 0, None], rot[:, None, 0], out=out)
+    for r in (1, 2):
+        out += np.multiply(vectors[..., r, None], rot[:, None, r], out=prod)
+
+
 def simulate_world(cfg: WorldConfig) -> WorldTrace:
     """Run the ground-truth propagation and synthesize all measurements.
 
@@ -242,37 +251,58 @@ def simulate_world(cfg: WorldConfig) -> WorldTrace:
     n = cfg.n_landmarks
     refs = augmented_refs(cfg.imu_refs)
     m = refs.shape[0]
+    feat = cfg.feature_noise_std > 0.0
 
     try:
         times = np.arange(k_steps + 1) * cfg.dt
         rotations = np.empty((k_steps + 1, 3, 3))
         positions = np.empty((k_steps + 1, 3))
+        mid_rotations = np.empty((k_steps, 3, 3))
+        mid_positions = np.empty((k_steps, 3))
         u_m = np.empty((k_steps, 6))
         y = np.empty((k_steps, n, 3))
         imu_body = np.empty((k_steps, m, 3))
-
-        # One draw per noisy scalar, in the same stream order the reference
-        # samplers would consume individually: (omega, v[, features]) for
-        # step k, then step k+1.  Chunked draws read the identical sequence.
-        if cfg.feature_noise_std > 0.0:
-            noise = rng.standard_normal((k_steps, 6 + 3 * n))
-            feat_noise = noise[:, 6:].reshape(k_steps, n, 3).copy()
-        else:
-            noise = rng.standard_normal((k_steps, 6))
-            feat_noise = np.zeros((k_steps, 1, 3))
+        scratch = np.empty((2, k_steps, max(n, m - 1), 3))
+        t_mid = (np.arange(k_steps) + 0.5) * cfg.dt
+        # One draw per noisy scalar, in the stream order of the reference
+        # samplers: (omega, v[, features]) for step k, then step k + 1.
+        noise = rng.standard_normal((k_steps, 6 + 3 * n if feat else 6))
     except (MemoryError, ValueError):  # numpy raises ValueError beyond its maximum size
         raise steps_do_not_fit(k_steps) from None
     _kernels.world_trace(
         cfg.init_rotation.ravel().tolist(), cfg.init_position.tolist(),
-        cfg.landmarks.tolist(), refs.tolist(),
         cfg.omega_true.const.tolist(), cfg.omega_true.slope.tolist(),
-        cfg.v_true.const.tolist(), cfg.v_true.slope.tolist(),
-        cfg.bias_omega.tolist(), cfg.bias_v.tolist(),
-        float(cfg.noise_std_omega), float(cfg.noise_std_v), float(cfg.feature_noise_std),
-        np.ascontiguousarray(noise[:, :6]), feat_noise, float(cfg.dt), k_steps,
-        rotations.reshape(k_steps + 1, 9), positions, u_m, y.reshape(k_steps, 3 * n),
-        imu_body.reshape(k_steps, 3 * m),
+        cfg.v_true.const.tolist(), cfg.v_true.slope.tolist(), float(cfg.dt), k_steps,
+        rotations.reshape(k_steps + 1, 9), positions, mid_rotations.reshape(k_steps, 9),
+        mid_positions,
     )
+
+    # Every entry takes the float operations of the reference samplers in
+    # their order, in place; an overflow gives inf as on Python floats.
+    with np.errstate(all="ignore"):
+        np.multiply(t_mid[:, None], np.r_[cfg.omega_true.slope, cfg.v_true.slope], out=u_m)
+        u_m += np.r_[cfg.omega_true.const, cfg.v_true.const]
+        u_m += np.r_[cfg.bias_omega, cfg.bias_v]
+        noise[:, :6] *= np.repeat([cfg.noise_std_omega, cfg.noise_std_v], 3)
+        u_m += noise[:, :6]
+
+        diff = np.subtract(cfg.landmarks, mid_positions[:, None], out=scratch[0, :, :n])
+        _in_body(diff, mid_rotations, y, scratch[1, :, :n])
+        if feat:
+            y += np.multiply(noise[:, 6:].reshape(k_steps, n, 3), cfg.feature_noise_std,
+                             out=scratch[1, :, :n])
+
+        # the configured directions, then the renormalized cross product
+        # of the first two
+        _in_body(refs[:m - 1], mid_rotations, imu_body[:, :m - 1], scratch[1, :, :m - 1])
+        a, b, cross, tmp = imu_body[:, 0], imu_body[:, 1], imu_body[:, m - 1], diff[:, 0, 0]
+        for i in range(3):
+            j, h = (i + 1) % 3, (i + 2) % 3
+            np.multiply(a[:, j], b[:, h], out=cross[:, i])
+            cross[:, i] -= np.multiply(a[:, h], b[:, j], out=tmp)
+        # a Python float's ** 2 is libm pow, which numpy's ** 2 is not
+        tmp[:] = [sqrt(t0 ** 2 + t1 ** 2 + t2 ** 2) for t0, t1, t2 in cross.tolist()]
+        cross /= tmp[:, None]
 
     return WorldTrace(
         cfg=cfg,

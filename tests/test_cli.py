@@ -141,6 +141,17 @@ MALFORMED = {
     "gains_basic_unknown_key": (_set("gains", "basic", "k_2", 1.0), [], "gains.basic"),
     "gains_unknown_block": (_set("gains", "quat", {"k_w": 1.0}), [], "gains"),
     "init_unknown_key": (_set("init", {"rotaton": [0, 1, 0, -1, 0, 0, 0, 0, 1]}), [], "init"),
+    # orthonormal, but a reflection
+    "init_rotation_reflection": (_set("init", {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, -1]}), [],
+                                 "init.rotation"),
+    "world_init_rotation_reflection": (_set("world", "init_rotation",
+                                            [1, 0, 0, 0, 1, 0, 0, 0, -1]), [],
+                                       "world.init_rotation"),
+    # configs that parse but cannot run: no attitude kernel, an infinite 1 / gain
+    "weights_rank_deficient": (_set("world", "sensor_weights", [1, 1, 0]), [],
+                               "world.sensor_weights"),
+    "gain_reciprocal_overflows": (_set("gains", "imu", "alpha", 1e-320), [], "gains.imu"),
+    "gamma_reciprocal_overflows": (_set("gains", "basic", "gamma", 1e-320), [], "gains.basic"),
 }
 
 
@@ -155,6 +166,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, case):
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *args]) == 2
     assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing written
 
 
 @pytest.mark.parametrize("case", ("directory", "not_utf8"))
