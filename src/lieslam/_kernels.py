@@ -109,19 +109,17 @@ def _exp_step(r, p, om, v, h):
              p2 + r20 * t0 + r21 * t1 + r22 * tz))
 
 
-def world_trace(r0, p0, om_c, om_s, v_c, v_s, dt, k_steps,
+def world_trace(r, p, om_c, om_s, v_c, v_s, dt, k_steps,
                 rotations, positions, mid_rotations, mid_positions):
     """Fill the truth at the K + 1 instants and the pose at the K interval
     midpoints: the truth advances by the midpoint twist held for dt, a
     midpoint pose by the quarter-point twist held for dt / 2.  Rotations
-    go row-major, 9 to a row, from ``r0`` on.
+    go row-major, 9 to a row, from ``r`` on.
     """
     om_c0, om_c1, om_c2 = om_c
     om_s0, om_s1, om_s2 = om_s
     v_c0, v_c1, v_c2 = v_c
     v_s0, v_s1, v_s2 = v_s
-    r = tuple(r0)
-    p = tuple(p0)
     for k in range(k_steps):
         rotations[k] = r
         positions[k] = p

@@ -107,7 +107,9 @@ def rotation(raw, key: str) -> np.ndarray:
     if rot.size != 9:
         raise ConfigError(f"{key}: expected 9 scalars (row-major)")
     rot = rot.reshape(3, 3)
+    # the determinant as a triple product: np.linalg.det would page in
+    # LAPACK code that no run otherwise uses (0.1 MB of peak memory)
     if (np.abs(rot).max() > 2.0 or rotation_defect(rot) > _INIT_ROTATION_SLACK
-            or np.linalg.det(rot) < 0):
+            or np.cross(rot[0], rot[1]) @ rot[2] < 0):
         raise ConfigError(f"{key}: not close to a rotation matrix")
     return orthonormalize(rot)

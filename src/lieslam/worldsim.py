@@ -221,12 +221,14 @@ class WorldTrace(NamedTuple):
         )
 
 
-def _in_body(vectors, rot, out, prod):
-    """out = vectors rot per step, the sum over the rows of rot taken left
-    to right as on Python floats; ``prod`` is scratch of out's shape."""
-    np.multiply(vectors[..., 0, None], rot[:, None, 0], out=out)
-    for r in (1, 2):
-        out += np.multiply(vectors[..., r, None], rot[:, None, r], out=prod)
+def _in_body(vectors, rot, out, tmp):
+    """out = vectors rot per step, each entry summed over the rows of rot
+    left to right as on Python floats; ``tmp`` is scratch of out[..., 0]'s
+    shape."""
+    for c in range(3):
+        np.multiply(vectors[..., 0], rot[:, None, 0, c], out=out[..., c])
+        for r in (1, 2):
+            out[..., c] += np.multiply(vectors[..., r], rot[:, None, r, c], out=tmp)
 
 
 def simulate_world(cfg: WorldConfig) -> WorldTrace:
@@ -257,12 +259,12 @@ def simulate_world(cfg: WorldConfig) -> WorldTrace:
         times = np.arange(k_steps + 1) * cfg.dt
         rotations = np.empty((k_steps + 1, 3, 3))
         positions = np.empty((k_steps + 1, 3))
-        mid_rotations = np.empty((k_steps, 3, 3))
-        mid_positions = np.empty((k_steps, 3))
         u_m = np.empty((k_steps, 6))
         y = np.empty((k_steps, n, 3))
         imu_body = np.empty((k_steps, m, 3))
-        scratch = np.empty((2, k_steps, max(n, m - 1), 3))
+        mid_rotations = np.empty((k_steps, 3, 3))
+        mid_positions = np.empty((k_steps, 3))
+        scratch = np.empty((k_steps, max(n, m - 1), 4))
         t_mid = (np.arange(k_steps) + 0.5) * cfg.dt
         # One draw per noisy scalar, in the stream order of the reference
         # samplers: (omega, v[, features]) for step k, then step k + 1.
@@ -283,25 +285,25 @@ def simulate_world(cfg: WorldConfig) -> WorldTrace:
         np.multiply(t_mid[:, None], np.r_[cfg.omega_true.slope, cfg.v_true.slope], out=u_m)
         u_m += np.r_[cfg.omega_true.const, cfg.v_true.const]
         u_m += np.r_[cfg.bias_omega, cfg.bias_v]
-        noise[:, :6] *= np.repeat([cfg.noise_std_omega, cfg.noise_std_v], 3)
+        noise *= np.repeat([cfg.noise_std_omega, cfg.noise_std_v, cfg.feature_noise_std],
+                           (3, 3, noise.shape[1] - 6))
         u_m += noise[:, :6]
 
-        diff = np.subtract(cfg.landmarks, mid_positions[:, None], out=scratch[0, :, :n])
-        _in_body(diff, mid_rotations, y, scratch[1, :, :n])
+        diff = np.subtract(cfg.landmarks, mid_positions[:, None], out=scratch[:, :n, :3])
+        _in_body(diff, mid_rotations, y, scratch[:, :n, 3])
         if feat:
-            y += np.multiply(noise[:, 6:].reshape(k_steps, n, 3), cfg.feature_noise_std,
-                             out=scratch[1, :, :n])
+            y += noise[:, 6:].reshape(k_steps, n, 3)
 
         # the configured directions, then the renormalized cross product
         # of the first two
-        _in_body(refs[:m - 1], mid_rotations, imu_body[:, :m - 1], scratch[1, :, :m - 1])
-        a, b, cross, tmp = imu_body[:, 0], imu_body[:, 1], imu_body[:, m - 1], diff[:, 0, 0]
+        _in_body(refs[:m - 1], mid_rotations, imu_body[:, :m - 1], scratch[:, :m - 1, 3])
+        a, b, cross, tmp = imu_body[:, 0], imu_body[:, 1], imu_body[:, m - 1], scratch[:, 0, 3]
         for i in range(3):
             j, h = (i + 1) % 3, (i + 2) % 3
             np.multiply(a[:, j], b[:, h], out=cross[:, i])
             cross[:, i] -= np.multiply(a[:, h], b[:, j], out=tmp)
         # a Python float's ** 2 is libm pow, which numpy's ** 2 is not
-        tmp[:] = [sqrt(t0 ** 2 + t1 ** 2 + t2 ** 2) for t0, t1, t2 in cross.tolist()]
+        tmp[:] = [sqrt(t0 ** 2 + t1 ** 2 + t2 ** 2) for t0, t1, t2 in zip(*cross.T.tolist())]
         cross /= tmp[:, None]
 
     return WorldTrace(
