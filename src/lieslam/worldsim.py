@@ -303,7 +303,7 @@ def simulate_world(cfg: WorldConfig) -> WorldTrace:
             np.multiply(a[:, j], b[:, h], out=cross[:, i])
             cross[:, i] -= np.multiply(a[:, h], b[:, j], out=tmp)
         # a Python float's ** 2 is libm pow, which numpy's ** 2 is not
-        tmp[:] = [sqrt(t0 ** 2 + t1 ** 2 + t2 ** 2) for t0, t1, t2 in zip(*cross.T.tolist())]
+        tmp[:] = [sqrt(t0 ** 2 + t1 ** 2 + t2 ** 2) for t0, t1, t2 in cross.tolist()]
         cross /= tmp[:, None]
 
     return WorldTrace(
