@@ -2,7 +2,7 @@
  *
  * _ctranslate.py prepends this file to the C it generates from
  * _laws.py.  It holds the value types of the translated code, the
- * per-call arena every list and tuple is allocated from, the float
+ * arena each call allocates its lists and tuples from, the float
  * operations that raise in Python (each records the exception CPython
  * would raise and the translated code runs on; the entry point raises
  * the first one recorded), and the marshalling between Python lists and
@@ -37,16 +37,17 @@ typedef struct lk_block {
     double data[];
 } lk_block;
 
+/* The arena of one call.  Each call callocs its own and lk_close frees
+ * it with its blocks, so a call made while another is in flight (from a
+ * __float__ of an argument, or from another thread while one runs
+ * Python code) shares nothing with it.  It lives off the C stack: the
+ * fields lk_alloc changes after the wrapper's setjmp keep their values
+ * across the longjmp of the out-of-memory path. */
 typedef struct {
     lk_block *top;
-    int err, busy, own;
+    int err;
     jmp_buf nomem;
 } lk_arena;
-
-/* The arena of a call; the shared one keeps its memory between calls.
- * A call made while another is in flight (from a __float__ of an
- * argument, or another thread while one runs Python code) gets its own. */
-static lk_arena lk_shared;
 
 static void lk_error(lk_arena *A, int code)
 {
@@ -54,50 +55,14 @@ static void lk_error(lk_arena *A, int code)
         A->err = code;
 }
 
-static void lk_free_blocks(lk_arena *A)
+static PyObject *lk_close(lk_arena *A, PyObject *result)
 {
     while (A->top) {
         lk_block *b = A->top;
         A->top = b->prev;
         free(b);
     }
-}
-
-static lk_arena *lk_open(void)
-{
-    lk_arena *A = &lk_shared;
-    if (A->busy) {
-        A = calloc(1, sizeof(lk_arena));
-        if (!A)
-            return NULL;
-        A->own = 1;
-    }
-    else if (A->top && A->top->prev) {
-        /* last call outgrew the first block: keep one as big as all */
-        Py_ssize_t total = 0;
-        for (lk_block *b = A->top; b; b = b->prev)
-            total += b->cap;
-        lk_free_blocks(A);
-        A->top = malloc(sizeof(lk_block) + total * sizeof(double));
-        if (A->top) {
-            A->top->prev = NULL;
-            A->top->cap = total;
-        }
-    }
-    if (A->top)
-        A->top->used = 0;
-    A->busy = 1;
-    A->err = LK_OK;
-    return A;
-}
-
-static PyObject *lk_close(lk_arena *A, PyObject *result)
-{
-    A->busy = 0;
-    if (A->own) {
-        lk_free_blocks(A);
-        free(A);
-    }
+    free(A);
     return result;
 }
 

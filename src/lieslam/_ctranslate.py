@@ -387,7 +387,7 @@ class _Translator:
                 k += 1
         return (f"static PyObject *py_{name}(PyObject *self, PyObject *const *args, "
                 f"Py_ssize_t nargs)\n{{\n    lk_item it[{k}];\n"
-                f"    lk_arena *A = lk_open();\n"
+                f"    lk_arena *A = calloc(1, sizeof(lk_arena));\n"
                 f"    if (!A)\n        return PyErr_NoMemory();\n"
                 f"    if (setjmp(A->nomem))\n        return lk_close(A, PyErr_NoMemory());\n"
                 f"    if (lk_args(A, args, nargs, \"{sig}\", {len(types)}, it) < 0)\n"

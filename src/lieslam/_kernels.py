@@ -15,10 +15,7 @@ step functions call through it (``basic_sample``, ``imu_sample``,
   older builds for the same ``$CC`` and Python;
 - interpreted: when that build fails (no compiler, no ``Python.h``, no
   writable cache; ``BUILD_ERROR`` says which), the functions of
-  ``_laws`` themselves.
-
-:data:`PY_FUNC` maps the six names to the ``_laws`` functions, the
-compiled build's parity oracle; it imports ``_laws`` on first access.
+  ``_laws`` themselves, imported only then.
 
 :func:`world_trace` is the truth recursion of a simulated run: the pose
 at every instant and at every interval midpoint, in one call on Python
@@ -175,17 +172,8 @@ def _compiled():
     return ext, None
 
 
-def __getattr__(name: str):
-    """``PY_FUNC``, computed on first access (PEP 562)."""
-    if name != "PY_FUNC":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global PY_FUNC
-    from . import _laws
-    PY_FUNC = {entry: getattr(_laws, entry) for entry in _COMPILED}
-    return PY_FUNC
-
-
 _ext, BUILD_ERROR = _compiled()
 BACKEND = "interpreted" if _ext is None else "compiled"
-globals().update(__getattr__("PY_FUNC") if _ext is None
-                 else {name: getattr(_ext, name) for name in _COMPILED})
+if _ext is None:
+    from . import _laws as _ext  # the interpreted fallback
+globals().update({name: getattr(_ext, name) for name in _COMPILED})

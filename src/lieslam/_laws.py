@@ -16,8 +16,8 @@ arithmetic.
 This module is read two ways.  ``_ctranslate`` parses it with
 :mod:`ast` and turns the three ``*_sample`` kernels, the three
 ``_*_rates`` and what they call into C; ``_kernels`` imports it only
-when that build is missing, for the interpreted fallback, and for
-``_kernels.PY_FUNC``, the compiled build's parity oracle.
+when that build is missing, for the interpreted fallback.  The tests
+import it as the compiled build's parity oracle.
 
 The translated kernels keep to a subset of Python: floats and ints,
 tuples and lists of floats or of 3-float rows, the parameter tuples,

@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 
 
 def read_error(exc: OSError | UnicodeDecodeError) -> str:
-    """Why a config or CSV file could not be read, for a ConfigError."""
+    """Why a file could not be read or written, for a ConfigError."""
     if isinstance(exc, UnicodeDecodeError):
         return f"not UTF-8 text (byte {exc.start})"
     return exc.strerror or str(exc)

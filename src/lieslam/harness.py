@@ -343,17 +343,31 @@ class RunArtifacts(NamedTuple):
     trace: WorldTrace
 
 
+def _write(path: Path, text: str) -> Path:
+    """Write one CSV artifact; a refusal of the file system is a
+    ConfigError on output_dir."""
+    try:
+        path.write_text(text, newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot write {path}: {read_error(exc)}") from None
+    return path
+
+
 def run(rc: RunConfig, suffix: str = "") -> RunArtifacts:
     """Execute a run config: simulate, filter, write CSV artifacts.
 
     ``suffix`` is appended to every file stem (used by multi-seed runs).
+    Raises ConfigError when the output directory cannot be created or
+    written.
     """
     trace = simulate_world(rc.world)
     out = rc.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create {out}: {read_error(exc)}") from None
 
-    truth_path = out / f"truth{suffix}.csv"
-    truth_path.write_text(truth_csv_text(trace, rc.sample_stride), newline="\n")
+    truth_path = _write(out / f"truth{suffix}.csv", truth_csv_text(trace, rc.sample_stride))
 
     results: dict[str, FilterRunResult] = {}
     filter_paths: dict[str, Path] = {}
@@ -361,14 +375,10 @@ def run(rc: RunConfig, suffix: str = "") -> RunArtifacts:
     for name in rc.filters():
         result = run_filter(trace, rc, name)
         results[name] = result
-
-        fpath = out / f"filter_{name}{suffix}.csv"
-        fpath.write_text(report_csv_text(result, rc.world.n_landmarks), newline="\n")
-        filter_paths[name] = fpath
-
-        epath = out / f"estimate_{name}{suffix}.csv"
-        epath.write_text(estimate_csv_text(result, trace.times), newline="\n")
-        estimate_paths[name] = epath
+        filter_paths[name] = _write(out / f"filter_{name}{suffix}.csv",
+                                    report_csv_text(result, rc.world.n_landmarks))
+        estimate_paths[name] = _write(out / f"estimate_{name}{suffix}.csv",
+                                      estimate_csv_text(result, trace.times))
 
     return RunArtifacts(
         output_dir=out,

@@ -61,7 +61,7 @@ def lyapunov(
     imu = isinstance(gains, ImuGains)
     if imu and kernel is None:
         raise ValueError("the IMU candidate needs the attitude kernel")
-    quad = ((e * e).sum(axis=-1) / (2.0 * gains.alpha)).sum(axis=-1)
+    quad = (0.5 * (e * e).sum(axis=-1) / gains.alpha).sum(axis=-1)
     if not imu:
         return quad + 0.5 * (bias_diff * bias_diff / gains.gamma).sum(axis=-1)
     att = 0.25 * (3.0 - np.trace(r_tilde @ kernel.matrix, axis1=-2, axis2=-1))

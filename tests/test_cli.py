@@ -183,6 +183,42 @@ def test_run_unreadable_config_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("runs", (1, 2))
+@pytest.mark.parametrize("blocked", ("is_a_file", "under_a_file", "csv_is_a_directory"))
+def test_run_unwritable_output_dir_exits_2(tmp_path, capsys, warmed_up, blocked, runs):
+    """An output directory that cannot be created or written is a
+    configuration error, for a single run and for each seed of --runs."""
+    doc = small_run_dict()
+    doc["world"]["duration"] = 0.05
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    if blocked == "csv_is_a_directory":
+        for name in ["truth.csv"] if runs == 1 else ["truth_seed5.csv", "truth_seed6.csv"]:
+            (out / name).mkdir(parents=True)
+    else:
+        out.write_text("")
+        if blocked == "under_a_file":
+            out = out / "run"
+    assert main(["run", "--config", cfg, "--out", str(out), "--runs", str(runs)]) == 2
+    err = capsys.readouterr().err
+    if runs == 1:
+        assert err.startswith("error: output_dir: ")
+    else:
+        for seed in (5, 6):
+            assert f"seed {seed}: error: output_dir: " in err
+
+
+@pytest.mark.parametrize("block", ("basic", "imu"))
+def test_run_largest_landmark_weight_exits_0(tmp_path, warmed_up, block):
+    """A landmark weight alpha of 1e308 is finite with a finite reciprocal,
+    so the run and its Lyapunov candidate raise no RuntimeWarning."""
+    doc = small_run_dict(filter=block)
+    doc["world"]["duration"] = 0.05
+    doc["gains"][block]["alpha"] = 1e308
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_run_stride_beyond_the_run_samples_step_0(tmp_path, warmed_up):
     doc = small_run_dict(sample_stride=10**30)
     doc["world"]["duration"] = 0.05

@@ -1,23 +1,27 @@
 """The bound kernels against the numpy forms of the laws, and the
-compiled build against the Python-float source.
+compiled build against its Python-float source, ``lieslam._laws``.
 
 The rates kernels are called exactly as the step functions call them
 (flat state from ``pack_state``, parameters from the step's own
 packing) and compared with the reference corrections in ``_support``
 plus the kinematics at a relative tolerance of 1e-12.  On the compiled
 backend a property test holds every compiled function to its Python
-original bit for bit.  A byte-identity guard pins the CSV digests of
-two short bundled runs on the Python-float arithmetic (interpreted or
-compiled).
+original bit for bit, and every compiled call, refused or not, frees
+the arena it allocates; a malformed call raises what the Python original
+raises.  A byte-identity guard pins the CSV digests of two short bundled
+runs on the Python-float arithmetic (interpreted or compiled).
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+import sysconfig
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -229,7 +233,7 @@ def test_compiled_kernels_match_python_floats(n, seed, simplified, nsub, size, a
     for name, state, params in (("basic", x, basic_params(m, basic)), ("imu", x, imu),
                                 ("quat", xq, imu)):
         for fn, args in ((f"_{name}_rates", ()), (f"{name}_sample", (0.001, nsub))):
-            compiled, original = getattr(_kernels, fn), _kernels.PY_FUNC[fn]
+            compiled, original = getattr(_kernels, fn), getattr(_laws, fn)
             assert compiled is not original
             assert _outcome(compiled, state, params, *args) == \
                 _outcome(original, state, params, *args), fn
@@ -254,6 +258,85 @@ def test_compiled_kernel_called_while_converting_arguments():
     got = _kernels.imu_sample(x, params[:7] + (Reentrant(),) + params[8:], 0.001, 1)
     assert nested == [_kernels.imu_sample(other, params, 0.001, 1)]
     assert got == _kernels.imu_sample(x, params, 0.001, 1)
+
+
+# calls of imu_sample that its argument checks refuse, with the exception
+# both builds raise
+MALFORMED_CALLS = {
+    "argument_count": (TypeError, lambda x, p: (x, p, 0.001)),
+    "params_one_short": (ValueError, lambda x, p: (x, p[:-1], 0.001, 1)),
+    "text_in_state": (TypeError, lambda x, p: (["a", *x[1:]], p, 0.001, 1)),
+    "two_entry_row": (ValueError,
+                      lambda x, p: (x, ([p[0][0][:2], *p[0][1:]], *p[1:]), 0.001, 1)),
+    "state_of_17_floats": (ValueError, lambda x, p: (x[:17], p, 0.001, 1)),
+    "nsub_float": (TypeError, lambda x, p: (x, p, 0.001, 1.0)),
+    "nsub_zero": (ZeroDivisionError, lambda x, p: (x, p, 0.001, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CALLS))
+def test_malformed_kernel_call_raises_like_python_floats(case):
+    """The bound kernel refuses a malformed call with the exception its
+    Python-float original raises, and the next valid call is unchanged."""
+    fs, m, kernel, _, gains = _case(600, 4)
+    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+    params = imu_params(m, kernel, gains, 4.0)
+    want = _kernels.imu_sample(x, params, 0.001, 1)
+    error, malformed = MALFORMED_CALLS[case]
+    for fn in (_kernels.imu_sample, _laws.imu_sample):
+        with pytest.raises(error):
+            fn(*malformed(x, params))
+    assert _kernels.imu_sample(x, params, 0.001, 1) == want
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+def test_compiled_calls_free_their_arena():
+    """Every call frees the arena it allocates, whether it returns or its
+    arguments are refused: a thousand rounds of all the calls above leave
+    the C heap (glibc's count of bytes in use) less than one 4096-double
+    block bigger."""
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
+    libc.mallinfo2.restype = _MallInfo2
+    fs, m, kernel, _, gains = _case(600, 32)
+    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+    params = imu_params(m, kernel, gains, 4.0)
+    calls = [(x, params, 0.001, 2), *(malformed(x, params)
+                                      for _, malformed in MALFORMED_CALLS.values())]
+
+    def rounds(count):
+        for _ in range(count):
+            for args in calls:
+                try:
+                    _kernels.imu_sample(*args)
+                except (TypeError, ValueError, ZeroDivisionError):
+                    pass
+        info = libc.mallinfo2()
+        return info.uordblks + info.hblkhd
+
+    start = rounds(10)
+    assert rounds(1000) - start < 4096 * 8
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+def test_generated_c_compiles_without_warnings(tmp_path):
+    """The C made of ``_laws.py`` compiles under the build's flags with
+    ``-Wall -Werror``: no unused helper or variable is left in it."""
+    src = tmp_path / "kernels.c"
+    src.write_text(_ctranslate.translate(Path(_laws.__file__).read_text(), "lieslam_check"))
+    flags = [flag for flag in _ctranslate.CFLAGS if flag != "-shared"]
+    done = subprocess.run([*shlex.split(os.environ.get("CC") or "cc"), *flags, "-c", "-Wall",
+                           "-Werror", f"-I{sysconfig.get_paths()['include']}",
+                           "-o", str(tmp_path / "kernels.o"), str(src)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("line", (
@@ -287,7 +370,7 @@ def test_failed_build_keeps_python_floats(tmp_path):
     out = _import_kernels(dict(os.environ, CC="false", XDG_CACHE_HOME=str(tmp_path)),
                           "_kernels.BACKEND",
                           "all(isinstance(getattr(_kernels, f), types.FunctionType) "
-                          "for f in _kernels.PY_FUNC)",
+                          "for f in _kernels._COMPILED)",
                           "_kernels.BUILD_ERROR")
     assert out.returncode == 0 and out.stderr == ""
     backend, python_bound, why = out.stdout.splitlines()
@@ -300,16 +383,12 @@ def test_failed_build_keeps_python_floats(tmp_path):
 def test_cached_build_loads_without_translator():
     """A warm cache loads the extension without importing the law source,
     the translator, the compiler driver or hashlib (which alone adds
-    ~3.5 MB of RSS); reading PY_FUNC then loads the law source."""
+    ~3.5 MB of RSS)."""
     out = _import_kernels(dict(os.environ), "_kernels.BACKEND",
                           "[m for m in ('lieslam._laws', 'lieslam._ctranslate', 'hashlib', "
-                          "'cffi', 'shlex') if m in sys.modules]",
-                          "all(f is getattr(sys.modules['lieslam._laws'], name) "
-                          "and isinstance(f, types.FunctionType) "
-                          "for name, f in _kernels.PY_FUNC.items())",
-                          "sorted(_kernels.PY_FUNC) == sorted(_kernels._COMPILED)")
+                          "'cffi', 'shlex') if m in sys.modules]")
     assert out.returncode == 0 and out.stderr == ""
-    assert out.stdout.splitlines() == ["compiled", "[]", "True", "True"]
+    assert out.stdout.splitlines() == ["compiled", "[]"]
 
 
 @pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
