@@ -271,17 +271,18 @@ def simulate_world(cfg: WorldConfig) -> WorldTrace:
         noise = rng.standard_normal((k_steps, 6 + 3 * n if feat else 6))
     except (MemoryError, ValueError):  # numpy raises ValueError beyond its maximum size
         raise steps_do_not_fit(k_steps) from None
-    _kernels.world_trace(
-        cfg.init_rotation.ravel().tolist(), cfg.init_position.tolist(),
-        cfg.omega_true.const.tolist(), cfg.omega_true.slope.tolist(),
-        cfg.v_true.const.tolist(), cfg.v_true.slope.tolist(), float(cfg.dt), k_steps,
-        rotations.reshape(k_steps + 1, 9), positions, mid_rotations.reshape(k_steps, 9),
-        mid_positions,
-    )
-
     # Every entry takes the float operations of the reference samplers in
-    # their order, in place; an overflow gives inf as on Python floats.
+    # their order, in place; an overflow gives inf as on Python floats,
+    # and a rotation angle that overflows gives NaN poses (sin(inf)).
     with np.errstate(all="ignore"):
+        _kernels.world_trace(
+            cfg.init_rotation.ravel().tolist(), cfg.init_position.tolist(),
+            cfg.omega_true.const.tolist(), cfg.omega_true.slope.tolist(),
+            cfg.v_true.const.tolist(), cfg.v_true.slope.tolist(), float(cfg.dt), k_steps,
+            rotations.reshape(k_steps + 1, 9), positions, mid_rotations.reshape(k_steps, 9),
+            mid_positions,
+        )
+
         np.multiply(t_mid[:, None], np.r_[cfg.omega_true.slope, cfg.v_true.slope], out=u_m)
         u_m += np.r_[cfg.omega_true.const, cfg.v_true.const]
         u_m += np.r_[cfg.bias_omega, cfg.bias_v]

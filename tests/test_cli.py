@@ -362,3 +362,71 @@ def test_run_overflowing_velocity_noise_exits_3(tmp_path, capsys, warmed_up):
     cfg = _write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega_true", [[0.0, 0.0, 1e160],
+                                        {"const": [0.0, 0.0, 0.3], "slope": [0.0, 0.0, 1e300]}],
+                         ids=["const", "slope"])
+def test_run_overflowing_angular_velocity_exits_3(tmp_path, capsys, warmed_up, omega_true):
+    """A rotation angle whose square overflows gives NaN poses silently
+    (no warning from the truth recursion); the estimator stops with exit 3."""
+    doc = small_run_dict()
+    doc["world"].update(duration=0.05, omega_true=omega_true)
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ process entry
+
+
+def _lieslam(*args: str) -> subprocess.CompletedProcess:
+    """``python -W error -m lieslam ARGS`` in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lieslam.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "lieslam", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_process_entry_matches_in_process_main(tmp_path, capsys, warmed_up):
+    """The process entry (collector off, heap frozen) prints and writes
+    what an in-process ``main`` call does, and warns about nothing."""
+    doc = small_run_dict(sample_stride=1)
+    doc["world"]["duration"] = 0.01
+    cfg = _write_config(tmp_path, doc)
+    child, here = tmp_path / "child", tmp_path / "here"
+    done = _lieslam("run", "--config", cfg, "--out", str(child))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(["run", "--config", cfg, "--out", str(here)]) == 0
+    assert done.stdout.replace(str(child), str(here)) == capsys.readouterr().out
+    names = sorted(p.name for p in here.iterdir())
+    assert sorted(p.name for p in child.iterdir()) == names and len(names) == 5
+    for name in names:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("doc, code", [
+    (small_run_dict(sample_stride=0), 2),
+    (_diverging_doc(), 3),
+], ids=["malformed", "diverging"])
+def test_process_entry_exit_codes(tmp_path, doc, code):
+    done = _lieslam("run", "--config", _write_config(tmp_path, doc),
+                    "--out", str(tmp_path / "out"))
+    assert (done.returncode, done.stdout) == (code, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_process_entry_runs_a_worker_pool(tmp_path):
+    doc = small_run_dict()
+    doc["world"]["duration"] = 0.01
+    out = tmp_path / "sweep"
+    done = _lieslam("run", "--config", _write_config(tmp_path, doc), "--out", str(out),
+                    "--runs", "2")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"seed 5: done\nseed 6: done\nwrote 2 runs to {out}\n"
+
+
+def test_console_script_takes_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"lieslam": "lieslam.__main__:entry"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -299,6 +300,35 @@ def test_run_writes_artifacts(tmp_path, warmed_up):
     rep = artifacts.results["basic"].report
     assert fdata[-1, 1] == rep.att_dist[-1]
     assert fdata[-1, 2] == rep.pos_err[-1]
+
+
+def _ring_run_dict(n: int) -> dict:
+    """small_run_dict with n landmarks on a ring, feature noise and the
+    IMU observer in simplified form."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    doc = small_run_dict(filter="imu", simplified_form=True,
+                         init={"landmarks": [[0.0, 0.0, 0.0]] * n})
+    doc["world"]["landmarks"] = np.c_[12 * np.cos(phi), 12 * np.sin(phi), np.zeros(n)].tolist()
+    doc["world"]["feature_noise_std"] = 0.01
+    return doc
+
+
+@pytest.mark.parametrize("doc", [small_run_dict(), small_run_dict(filter="imu_quat"),
+                                 _ring_run_dict(32)], ids=["both", "imu_quat", "ring32"])
+def test_run_makes_no_reference_cycles(tmp_path, warmed_up, doc):
+    """A run leaves nothing for the cyclic collector to find, which is
+    why a ``lieslam`` process runs with it off (``lieslam.__main__``)."""
+    doc = dict(doc, sample_stride=1)
+    doc["world"] = dict(doc["world"], duration=0.2)
+    gc.collect()
+    gc.disable()
+    try:
+        artifacts = run(dataclasses.replace(parse_run_config(doc), output_dir=tmp_path / "out"))
+        assert len(artifacts.trace.times) == 201
+        del artifacts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_read_csv_rejects_bad_files(tmp_path):
