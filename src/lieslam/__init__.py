@@ -4,7 +4,7 @@ Two nonlinear estimators over simulated rigid-body scenarios: a
 feature-only observer and an IMU-aided one (also available in a
 quaternion build), plus the world simulator, error metrics and a CLI
 harness that reproduces the reference scenarios.  Import from the
-submodules, e.g. ``lieslam.harness`` or ``lieslam.filter_imu``.
+submodules, e.g. ``lieslam.harness`` or ``lieslam.observers``.
 """
 
 __version__ = "0.1.0"

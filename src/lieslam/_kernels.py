@@ -2,17 +2,19 @@
 
 The observer laws live in :mod:`lieslam._laws`, one Python-float source
 for two builds.  At import this module binds the six entry points the
-step functions call through it (``basic_sample``, ``imu_sample``,
-``quat_sample`` and their rates ``_basic_rates``, ``_imu_rates``,
-``_quat_rates``) to one of them; :data:`BACKEND` names which:
+steps of :mod:`lieslam.observers` call through it (``basic_sample``,
+``imu_sample``, ``quat_sample`` and their rates ``_basic_rates``,
+``_imu_rates``, ``_quat_rates``) to one of them; :data:`BACKEND` names
+which:
 
 - compiled: the C extension that ``_ctranslate`` makes of ``_laws.py``,
-  cached in ``$XDG_CACHE_HOME/lieslam`` (``~/.cache/lieslam``) under a
-  key of ``_laws.py``, the translator, the prelude, ``$CC`` and the
-  Python ABI.  On a cache hit the key is read from those files and the
-  extension is loaded; neither ``_laws`` nor ``_ctranslate`` is
-  imported.  On a miss ``_ctranslate`` builds it first and deletes the
-  older builds for the same ``$CC`` and Python;
+  cached in ``$XDG_CACHE_HOME/lieslam`` (``~/.cache/lieslam`` when that
+  is unset, empty or relative, as the XDG spec says) under a key of
+  ``_laws.py``, the translator, the prelude, ``$CC`` and the Python ABI.
+  On a cache hit the key is read from those files and the extension is
+  loaded; neither ``_laws`` nor ``_ctranslate`` is imported.  On a miss
+  ``_ctranslate`` builds it first and deletes the older builds for the
+  same ``$CC`` and Python;
 - interpreted: when that build fails (no compiler, no ``Python.h``, no
   writable cache; ``BUILD_ERROR`` says which), the functions of
   ``_laws`` themselves, imported only then.
@@ -35,6 +37,8 @@ from math import sqrt
 
 import numpy as np
 
+from .liegroup import _SMALL_ANGLE
+
 
 def _exp_step(r, p, om, v, h):
     """Advance (r, p) by the twist (om, v) held for h seconds.
@@ -53,7 +57,7 @@ def _exp_step(r, p, om, v, h):
     w2 = om2 * h
     t2 = w0 * w0 + w1 * w1 + w2 * w2
     theta = sqrt(t2)
-    if theta < 1e-6:
+    if theta < _SMALL_ANGLE:
         a = 1.0
         b = 0.5
         jc = 1.0 / 6.0
@@ -158,7 +162,9 @@ def _compiled():
         crc, adler = zlib.crc32(data, crc), zlib.adler32(data, adler)
     prefix = f"lieslam_kernels_{zlib.crc32(env):08x}{zlib.adler32(env):08x}_"
     module = f"{prefix}{crc:08x}{adler:08x}"
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):  # XDG: a relative path is to be ignored
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
     path = os.path.join(cache, "lieslam", module + EXTENSION_SUFFIXES[0])
     try:
         if not os.path.exists(path):

@@ -3,9 +3,8 @@
 Each ``*_sample`` function advances one measurement interval: classical
 RK4 (:func:`_rk4`, shared by all three observers) over the continuous
 correction laws with the interval's measurements held fixed, optionally
-split into equal substeps.  The step functions in
-:mod:`lieslam.filter_basic`, :mod:`lieslam.filter_imu` and
-:mod:`lieslam.quaternion` pack their records into a flat state
+split into equal substeps.  The step functions of
+:mod:`lieslam.observers` pack their records into a flat state
 (attitude, position, bias, then the landmarks row by row: 9 + 3 + 6 + 3n
 floats, or 4 + 3 + 6 + 3n with a quaternion attitude) and a tuple of
 per-interval parameters, as Python lists built once per step with
@@ -39,8 +38,7 @@ Python floats raise ``OverflowError`` on a finite overflow in ``**`` and
 ``ZeroDivisionError`` on ``/ 0.0``, where numpy returned inf or nan; the
 compiled kernels raise the same two (and ``ValueError`` where
 ``math.sqrt`` would), for the first such operation in Python's order.
-The step boundary (``filter_basic.run_sample``) reports both as
-divergence.
+The step boundary (``observers._step``) reports both as divergence.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ def _run_seeds(rc: RunConfig, runs: int) -> int:
     exit code is the worst over the seeds."""
     from concurrent.futures import ProcessPoolExecutor  # costs ~10 ms; single runs skip it
 
-    from .filter_basic import FilterDivergence
+    from .observers import FilterDivergence
 
     seeds = [rc.world.rng_seed + i for i in range(runs)]
     code = 0
@@ -75,7 +75,7 @@ def _run_seeds(rc: RunConfig, runs: int) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .filter_basic import FilterDivergence  # compare never needs the run path
+    from .observers import FilterDivergence  # compare never needs the run path
     from .harness import load_run_config, run
 
     try:

@@ -27,11 +27,10 @@ from .config import (
     rotation,
     scalar,
 )
-from .filter_basic import BasicGains, FilterDivergence, FilterState, basic_step
-from .filter_imu import ImuGains, build_kernel, imu_step
 from .liegroup import Pose, Twist
 from .metrics import ErrorReport, evaluate, report_header
-from .quaternion import QuatFilterState, quat_imu_step, quat_to_rot
+from .observers import BasicGains, FilterDivergence, FilterState, ImuGains, QuatFilterState
+from .observers import basic_step, build_kernel, imu_step, quat_imu_step, quat_to_rot
 from .worldsim import WorldConfig, WorldTrace, augmented_refs, simulate_world, steps_do_not_fit
 
 
@@ -78,15 +77,12 @@ def _broadcast(raw, length: int, key: str) -> np.ndarray:
     return np.full(length, floats(raw, key, (length,) if isinstance(raw, list) else ()))
 
 
-# gains block -> (gains class, scalar gains, diagonal gains and their sizes)
-_GAINS = {
-    "basic": (BasicGains, ("k_w", "k_1"), {"gamma": 6}),
-    "imu": (ImuGains, ("k_w", "k_1", "k_2"), {"gamma_1": 3, "gamma_2": 3}),
-}
+_GAINS = {"basic": BasicGains, "imu": ImuGains}
 
 
 def _parse_gains(block: str, raw, n: int) -> BasicGains | ImuGains:
-    cls, scalars, diagonals = _GAINS[block]
+    cls = _GAINS[block]
+    scalars, diagonals = cls.SCALARS, cls.DIAGONALS
     key = f"gains.{block}"
     fields(raw, key, (*scalars, *diagonals, "alpha"), scalars)
     kwargs = {name: scalar(raw[name], f"{key}.{name}") for name in scalars}
@@ -253,6 +249,13 @@ def run_filter(trace: WorldTrace, rc: RunConfig, name: str) -> FilterRunResult:
     except MemoryError:
         raise steps_do_not_fit(k_steps) from None
 
+    # each looks its step function up on this module when called, so a
+    # wrapper put on that name sees every step
+    step = {
+        "basic": lambda fs, m: basic_step(fs, m, gains, dt),
+        "imu": lambda fs, m: imu_step(fs, m, kernel, gains, dt, rc.simplified_form),
+        "imu_quat": lambda fs, m: quat_imu_step(fs, m, kernel, gains, dt, rc.simplified_form),
+    }[name]
     start = time.perf_counter()
     for k in range(k_steps + 1):
         if quat:
@@ -265,14 +268,8 @@ def run_filter(trace: WorldTrace, rc: RunConfig, name: str) -> FilterRunResult:
         if k == k_steps:
             break
 
-        m = trace.bundle(k)
         try:
-            if name == "basic":
-                fs = basic_step(fs, m, gains, dt)
-            elif name == "imu":
-                fs = imu_step(fs, m, kernel, gains, dt, rc.simplified_form)
-            else:
-                fs = quat_imu_step(fs, m, kernel, gains, dt, rc.simplified_form)
+            fs = step(fs, trace.bundle(k))
         except FilterDivergence as exc:
             raise FilterDivergence(f"{name}: step {k} (t={k * dt:.6g}): {exc}") from None
 

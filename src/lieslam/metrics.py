@@ -15,9 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filter_basic import BasicGains, FilterState
-from .filter_imu import AttitudeKernel, ImuGains
 from .liegroup import Twist, so3_distance
+from .observers import AttitudeKernel, BasicGains, FilterState, ImuGains
 from .worldsim import TrueState
 
 

@@ -13,12 +13,17 @@ import warnings
 import numpy as np
 
 from lieslam._laws import _PI_COND_LIMIT, TAU_FLOOR
-from lieslam.filter_basic import BasicGains, FilterState
-from lieslam.filter_imu import AttitudeKernel, ImuGains
 from lieslam.harness import FilterRunResult, RunConfig, _candidate
 from lieslam.metrics import error_state
 from lieslam.liegroup import Pose, Twist, adjoint_aug, se3_exp, skew, so3_exp
-from lieslam.quaternion import QuatFilterState, quat_normalize
+from lieslam.observers import (
+    AttitudeKernel,
+    BasicGains,
+    FilterState,
+    ImuGains,
+    QuatFilterState,
+    quat_normalize,
+)
 from lieslam.worldsim import (
     LinearProfile,
     MeasurementBundle,

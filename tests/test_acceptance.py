@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from _support import lyapunov_steps, pi_meas, random_rotation, series_exp, upsilon_meas
-from lieslam.filter_imu import build_kernel
 from lieslam.harness import run
 from lieslam.liegroup import (
     Pose,
@@ -32,6 +31,7 @@ from lieslam.liegroup import (
     vex,
     wedge,
 )
+from lieslam.observers import build_kernel
 from lieslam.worldsim import augmented_refs
 
 BENCH_REFS = augmented_refs(np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]]))

@@ -14,7 +14,7 @@ from _support import (
     random_rotation,
 )
 from lieslam import _kernels
-from lieslam.filter_basic import (
+from lieslam.observers import (
     BasicGains,
     FilterDivergence,
     FilterState,

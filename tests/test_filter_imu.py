@@ -20,9 +20,16 @@ from _support import (
 )
 from lieslam import _kernels
 from lieslam._laws import TAU_FLOOR
-from lieslam.filter_basic import FilterDivergence, FilterState, pack_state
-from lieslam.filter_imu import ImuGains, build_kernel, imu_params, imu_step
 from lieslam.liegroup import Pose, Twist, antisym_project, se3_exp, skew, so3_distance, so3_exp, upsilon, vex
+from lieslam.observers import (
+    FilterDivergence,
+    FilterState,
+    ImuGains,
+    build_kernel,
+    imu_params,
+    imu_step,
+    pack_state,
+)
 from lieslam.worldsim import MeasurementBundle, augmented_refs
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import gc
 import json
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _support import lyapunov_steps, small_run_dict, small_world_dict
+from lieslam import _kernels, harness
 from lieslam.compare import compare, read_csv
 from lieslam.config import ConfigError
 from lieslam.harness import (
@@ -329,6 +331,45 @@ def test_run_makes_no_reference_cycles(tmp_path, warmed_up, doc):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# filter -> (its step function in harness, its kernel in _kernels)
+_STEP_NAMES = {"basic": ("basic_step", "basic_sample"), "imu": ("imu_step", "imu_sample"),
+               "imu_quat": ("quat_imu_step", "quat_sample")}
+
+
+@pytest.mark.parametrize("filter_kind", ("both", "imu_quat"))
+def test_run_calls_steps_kernels_and_evaluate_by_name(tmp_path, monkeypatch, warmed_up,
+                                                      filter_kind):
+    """A run calls its step functions and ``evaluate`` as attributes of
+    ``harness``, and the kernels as attributes of ``_kernels``, looked up
+    at call time: a wrapper put on one of those names sees one call per
+    world step (steps and kernels) or per sample (``evaluate``) and
+    filter.  The benchmark's traced mode counts its calls this way."""
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("basic_step", "imu_step", "quat_imu_step", "evaluate"):
+        count(harness, name)
+    for _, kernel in _STEP_NAMES.values():
+        count(_kernels, kernel)
+    doc = small_run_dict(filter=filter_kind, sample_stride=30)
+    doc["world"]["duration"] = 0.1
+    rc = dataclasses.replace(parse_run_config(doc), output_dir=tmp_path / "out")
+    k_steps = harness.run(rc).trace.u_m.shape[0]
+    assert k_steps == 100
+    want = collections.Counter(evaluate=len(range(0, k_steps + 1, 30)) * len(rc.filters()))
+    for name in rc.filters():
+        step, kernel = _STEP_NAMES[name]
+        want[step] = want[kernel] = k_steps
+    assert calls == want
 
 
 def test_read_csv_rejects_bad_files(tmp_path):

@@ -50,11 +50,18 @@ from _support import (
 
 from lieslam import _ctranslate, _kernels, _laws
 from lieslam.cli import main
-from lieslam.filter_basic import BasicGains, FilterState, basic_params, pack_state
-from lieslam.filter_imu import ImuGains, build_kernel, imu_params
 from lieslam.harness import bundled_config_path
 from lieslam.liegroup import Pose, Twist, adjoint_aug, skew, wedge
-from lieslam.quaternion import QuatFilterState
+from lieslam.observers import (
+    BasicGains,
+    FilterState,
+    ImuGains,
+    QuatFilterState,
+    basic_params,
+    build_kernel,
+    imu_params,
+    pack_state,
+)
 from lieslam.worldsim import MeasurementBundle
 
 SIZES = (3, 4, 32)
@@ -377,6 +384,29 @@ def test_failed_build_keeps_python_floats(tmp_path):
     assert (backend, python_bound) == ("interpreted", "True")
     assert why.startswith("false exited with status 1")
     assert not list(tmp_path.rglob("*.so"))
+
+
+def test_relative_cache_home_is_ignored(tmp_path):
+    """A relative ``XDG_CACHE_HOME`` is ignored, as the XDG spec says: the
+    build goes to ``~/.cache/lieslam``, never under the working directory.
+    With the compiled backend the current build is put there first, so
+    the child loads it instead of compiling."""
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    cache = home / ".cache" / "lieslam"
+    cache.mkdir(parents=True)
+    if _kernels.BACKEND == "compiled":
+        built = Path(_kernels._ext.__file__)
+        (cache / built.name).write_bytes(built.read_bytes())
+    env = dict(os.environ, HOME=str(home), XDG_CACHE_HOME="cache",
+               PYTHONPATH=str(Path(_kernels.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-W", "error", "-c",
+                          "from lieslam import _kernels; print(_kernels.BACKEND)"],
+                         cwd=work, env=env, capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", f"{_kernels.BACKEND}\n")
+    assert not list(work.iterdir())
+    if _kernels.BACKEND == "compiled":
+        assert [p.name for p in cache.iterdir()] == [built.name]
 
 
 @pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _support import innovation_errors, random_rotation
-from lieslam.filter_basic import BasicGains, FilterState
-from lieslam.filter_imu import ImuGains, build_kernel
 from lieslam.liegroup import Pose, Twist, so3_exp
 from lieslam.harness import FilterRunResult, report_csv_text
 from lieslam.metrics import ErrorReport, error_state, evaluate, lyapunov, report_header
-from lieslam.quaternion import quat_to_rot
+from lieslam.observers import BasicGains, FilterState, ImuGains, build_kernel, quat_to_rot
 from lieslam.worldsim import TrueState
 
 

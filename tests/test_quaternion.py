@@ -18,11 +18,16 @@ from _support import (
     rotate_by_quat,
 )
 from lieslam import _kernels
-from lieslam.filter_basic import FilterDivergence, FilterState, pack_state
-from lieslam.filter_imu import ImuGains, build_kernel, imu_params, imu_step
 from lieslam.liegroup import Pose, Twist, skew, so3_exp
-from lieslam.quaternion import (
+from lieslam.observers import (
+    FilterDivergence,
+    FilterState,
+    ImuGains,
     QuatFilterState,
+    build_kernel,
+    imu_params,
+    imu_step,
+    pack_state,
     quat_imu_step,
     quat_normalize,
     quat_to_rot,

@@ -33,3 +33,13 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, warmed_up):
     result, energy = namespace["result"], namespace["energy"]
     assert energy.shape == (501,)
     assert np.array_equal(energy[result.sample_ks], result.report.lyap)
+
+
+def test_readme_layout_lists_every_module():
+    """The Layout table names exactly the package's modules, the package
+    itself (``__init__``) aside."""
+    layout = README.read_text(encoding="utf-8").split("## Layout", 1)[1]
+    listed = re.findall(r"^\| `lieslam\.(\w+)`", layout, re.MULTILINE)
+    package = Path(lieslam.harness.__file__).parent
+    modules = [p.stem for p in package.glob("*.py") if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
