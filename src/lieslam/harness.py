@@ -60,6 +60,15 @@ class RunConfig:
             block = "basic" if name == "basic" else "imu"
             if getattr(self, f"gains_{block}") is None:
                 raise ConfigError(f"gains.{block}: required for the selected filter")
+        # one alpha and one initial estimate per landmark of the world, in
+        # the parser's words
+        n = self.world.n_landmarks
+        sizes = [(f"gains.{block}.alpha", gains.alpha.shape, (n,), f"{n} numbers")
+                 for block in _GAINS if (gains := getattr(self, f"gains_{block}")) is not None]
+        sizes.append(("init.landmarks", self.init_landmarks.shape, (n, 3), f"{n} 3-vectors"))
+        for key, got, want, expected in sizes:
+            if got != want:
+                raise ConfigError(f"{key}: expected {expected}, got shape {got}")
         if self.filters() != ["basic"]:
             try:
                 build_kernel(augmented_refs(self.world.imu_refs), self.world.sensor_weights)
@@ -165,6 +174,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{p}: cannot read the config: nested too deeply") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: cannot read the config: {read_error(exc)}") from None
     try:

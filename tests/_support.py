@@ -1,9 +1,11 @@
 """Small shared helpers for the test modules, and the reference laws.
 
-The reference laws are numpy forms of what ``lieslam._kernels`` computes
-on the run path: the observer corrections, the quaternion algebra the
-quaternion build rests on, and the single-step world samplers.  The
-tests hold the shipped kernels against these oracles.
+The builders make the gains, random filter states and measurement
+bundles that the observer, metrics and acceptance tests step with.  The
+reference laws are numpy forms of what ``lieslam._kernels`` computes
+on the run path: the observer corrections and rates, the quaternion
+algebra the quaternion build rests on, and the single-step world
+samplers.  The tests hold the shipped kernels against these oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from lieslam.observers import (
     FilterState,
     ImuGains,
     QuatFilterState,
+    build_kernel,
     quat_normalize,
 )
 from lieslam.worldsim import (
@@ -44,6 +47,12 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.nd
 def random_unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def random_weights(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m direction weights in [0.2, 2.0], scaled to sum to 3."""
+    w = rng.uniform(0.2, 2.0, m)
+    return w * (3.0 / w.sum())
 
 
 def random_ref_triad(rng: np.random.Generator) -> np.ndarray:
@@ -97,6 +106,61 @@ def small_run_dict(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+# ------------------------------------------------------------- builders
+
+
+# the bundled configs' direction references, completed to a triad, and
+# their attitude kernel under unit weights; the kernel of the axes
+BENCH_REFS = augmented_refs(np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]]))
+BENCH_KERNEL = build_kernel(BENCH_REFS, np.ones(3))
+UNIT_KERNEL = build_kernel(np.eye(3), np.ones(3))
+
+
+def basic_gains(n: int = 4, **overrides) -> BasicGains:
+    """Feature-only gains at the bundled configs' values, n landmarks."""
+    kw = {"k_w": 5.0, "k_1": 5.0, "gamma": [3.0, 3, 3, 100, 100, 100], "alpha": np.full(n, 0.1)}
+    kw.update(overrides)
+    return BasicGains(**kw)
+
+
+def imu_gains(n: int = 4, **overrides) -> ImuGains:
+    """IMU-aided gains at the bundled configs' values, n landmarks."""
+    kw = {
+        "k_w": 5.0, "k_1": 5.0, "k_2": 20.0,
+        "gamma_1": np.full(3, 3.0), "gamma_2": np.full(3, 100.0),
+        "alpha": np.full(n, 0.1),
+    }
+    kw.update(overrides)
+    return ImuGains(**kw)
+
+
+def random_filter_state(rng: np.random.Generator, n: int = 4,
+                        max_angle: float = np.pi) -> FilterState:
+    """Attitude of angle up to max_angle, position ~2 m, landmarks ~5 m,
+    bias ~0.1, drawn in that order."""
+    return FilterState(
+        pose=Pose(random_rotation(rng, max_angle), rng.standard_normal(3) * 2.0),
+        landmarks=rng.standard_normal((n, 3)) * 5.0,
+        bias=Twist(rng.standard_normal(3) * 0.1, rng.standard_normal(3) * 0.1),
+    )
+
+
+def consistent_y(fs: FilterState) -> np.ndarray:
+    """Measurements that make every innovation exactly zero."""
+    return (fs.landmarks - fs.pose.position) @ fs.pose.rotation
+
+
+def bundle(y, refs=np.eye(3), bodies=np.eye(3), u: Twist | None = None) -> MeasurementBundle:
+    """One interval's measurements at t = 0; the velocity defaults to zero."""
+    return MeasurementBundle(
+        u_m=u if u is not None else Twist.zero(),
+        y=np.asarray(y, dtype=float),
+        imu_ref=np.array(refs, dtype=float),
+        imu_body=np.array(bodies, dtype=float),
+        t=0.0,
+    )
 
 
 # ------------------------------------------------- feature-only observer
@@ -209,6 +273,43 @@ def imu_correction(fs: FilterState, m: MeasurementBundle, e: np.ndarray,
     w_omega = scale * (gains.k_w / tau) * half
     w_v = -gains.k_2 * ((1.0 / gains.alpha)[:, None] * (e @ r)).sum(axis=0)
     return Twist(w_omega, w_v)
+
+
+# ------------------------------------------------------ continuous rates
+#
+# The observers' rates at a state, as (attitude, position, bias,
+# landmarks) blocks in the order ``pack_state`` lays the state out.
+
+
+def basic_rates(fs: FilterState, m: MeasurementBundle, gains: BasicGains) -> tuple:
+    r = fs.pose.rotation
+    e = innovation_errors(fs, m.y)
+    u = m.u_m.vector() - fs.bias.vector() - basic_correction(fs, e, gains).vector()
+    zw = innovation_wrench(fs, e, 1.0 / gains.alpha)
+    return r @ skew(u[:3]), r @ u[3:], -gains.gamma * (adjoint_aug(fs.pose).T @ zw), -gains.k_1 * e
+
+
+def imu_bias_rates(gains: ImuGains, scale: float, half: np.ndarray, e_body: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """Bias rates of the IMU-aided observers from the body-frame half
+    innovation and landmark innovations."""
+    inv_a = (1.0 / gains.alpha)[:, None]
+    return np.concatenate([
+        gains.gamma_1 * (scale * 0.5 * half - (inv_a * np.cross(y, e_body)).sum(axis=0)),
+        -gains.gamma_2 * (inv_a * e_body).sum(axis=0),
+    ])
+
+
+def imu_rates(fs: FilterState, m: MeasurementBundle, kernel: AttitudeKernel, gains: ImuGains,
+              simplified_form: bool = False) -> tuple:
+    r = fs.pose.rotation
+    e = innovation_errors(fs, m.y)
+    w = imu_correction(fs, m, e, kernel, gains, simplified_form)
+    half, _ = attitude_terms(r, m, kernel)
+    scale = 1.0 if simplified_form else float(e.shape[0])
+    u = m.u_m.vector() - fs.bias.vector() - w.vector()
+    return (r @ skew(u[:3]), r @ u[3:], imu_bias_rates(gains, scale, half, e @ r, m.y),
+            -gains.k_1 * e + np.cross(m.y, w.omega) @ r.T)
 
 
 # ------------------------------------------------------------ quaternions

@@ -16,7 +16,15 @@ import time
 
 import numpy as np
 
-from _support import lyapunov_steps, pi_meas, random_rotation, series_exp, upsilon_meas
+from _support import (
+    BENCH_KERNEL,
+    BENCH_REFS,
+    lyapunov_steps,
+    pi_meas,
+    random_rotation,
+    series_exp,
+    upsilon_meas,
+)
 from lieslam.harness import run
 from lieslam.liegroup import (
     Pose,
@@ -31,11 +39,6 @@ from lieslam.liegroup import (
     vex,
     wedge,
 )
-from lieslam.observers import build_kernel
-from lieslam.worldsim import augmented_refs
-
-BENCH_REFS = augmented_refs(np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]]))
-BENCH_KERNEL = build_kernel(BENCH_REFS, np.ones(3))
 
 
 def _announce(capsys, num: int, label: str, ok: bool, detail: str) -> None:

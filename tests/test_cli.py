@@ -169,11 +169,13 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()  # nothing written
 
 
-@pytest.mark.parametrize("case", ("directory", "not_utf8"))
+@pytest.mark.parametrize("case", ("directory", "not_utf8", "nested_too_deeply"))
 def test_run_unreadable_config_exits_2(tmp_path, capsys, case):
     cfg = tmp_path / "cfg.json"
     if case == "directory":
         cfg.mkdir()
+    elif case == "nested_too_deeply":  # beyond the JSON decoder's recursion limit
+        cfg.write_text('{"world": ' + "[" * 5000 + "]" * 5000 + "}")
     else:
         cfg.write_bytes(json.dumps(small_run_dict(output_dir="caf\u00e9"),
                                    ensure_ascii=False).encode("latin-1"))

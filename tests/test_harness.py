@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lieslam.harness import (
 )
 from lieslam.liegroup import rotation_defect
 from lieslam.metrics import report_header
+from lieslam.observers import _OBSERVERS
 from lieslam.worldsim import simulate_world
 
 
@@ -175,6 +177,22 @@ def test_parse_init_shape_checks():
 
 
 # ------------------------------------------------------------------ loading
+
+
+@pytest.mark.parametrize("field,size", [("alpha", 3), ("alpha", 5), ("init_landmarks", 3),
+                                        ("init_landmarks", 5)])
+def test_replace_checks_sizes_against_the_world(level_rc, field, size):
+    """dataclasses.replace re-runs the config's checks, so an alpha or an
+    initial map that no longer fits the world's 4 landmarks is refused in
+    the parser's words before a run writes anything."""
+    if field == "alpha":
+        change = {"gains_imu": dataclasses.replace(level_rc.gains_imu, alpha=np.full(size, 0.1))}
+        message = f"gains.imu.alpha: expected 4 numbers, got shape ({size},)"
+    else:
+        change = {"init_landmarks": np.zeros((size, 3))}
+        message = f"init.landmarks: expected 4 3-vectors, got shape ({size}, 3)"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dataclasses.replace(level_rc, filter_kind="imu", **change)
 
 
 def test_load_bundled_configs():
@@ -333,9 +351,8 @@ def test_run_makes_no_reference_cycles(tmp_path, warmed_up, doc):
         gc.enable()
 
 
-# filter -> (its step function in harness, its kernel in _kernels)
-_STEP_NAMES = {"basic": ("basic_step", "basic_sample"), "imu": ("imu_step", "imu_sample"),
-               "imu_quat": ("quat_imu_step", "quat_sample")}
+# filter -> its step function in harness (its kernel is _OBSERVERS[filter][0])
+_STEP_NAMES = {"basic": "basic_step", "imu": "imu_step", "imu_quat": "quat_imu_step"}
 
 
 @pytest.mark.parametrize("filter_kind", ("both", "imu_quat"))
@@ -356,9 +373,9 @@ def test_run_calls_steps_kernels_and_evaluate_by_name(tmp_path, monkeypatch, war
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("basic_step", "imu_step", "quat_imu_step", "evaluate"):
+    for name in (*_STEP_NAMES.values(), "evaluate"):
         count(harness, name)
-    for _, kernel in _STEP_NAMES.values():
+    for kernel, *_ in _OBSERVERS.values():
         count(_kernels, kernel)
     doc = small_run_dict(filter=filter_kind, sample_stride=30)
     doc["world"]["duration"] = 0.1
@@ -367,8 +384,7 @@ def test_run_calls_steps_kernels_and_evaluate_by_name(tmp_path, monkeypatch, war
     assert k_steps == 100
     want = collections.Counter(evaluate=len(range(0, k_steps + 1, 30)) * len(rc.filters()))
     for name in rc.filters():
-        step, kernel = _STEP_NAMES[name]
-        want[step] = want[kernel] = k_steps
+        want[_STEP_NAMES[name]] = want[_OBSERVERS[name][0]] = k_steps
     assert calls == want
 
 

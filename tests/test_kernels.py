@@ -31,19 +31,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from _support import (
     attitude_gain_divisor,
-    attitude_terms,
-    basic_correction,
+    basic_rates,
+    bundle,
+    consistent_y,
     direction_sums,
-    imu_correction,
-    innovation_errors,
-    innovation_wrench,
+    imu_bias_rates,
+    imu_rates,
     pi_from_products,
     quat_conjugate,
     quat_correction,
     quat_omega,
+    random_filter_state,
     random_ref_triad,
     random_rotation,
     random_unit,
+    random_weights,
     rotate_by_quat,
     series_exp,
 )
@@ -51,10 +53,9 @@ from _support import (
 from lieslam import _ctranslate, _kernels, _laws
 from lieslam.cli import main
 from lieslam.harness import bundled_config_path
-from lieslam.liegroup import Pose, Twist, adjoint_aug, skew, wedge
+from lieslam.liegroup import Pose, Twist, wedge
 from lieslam.observers import (
     BasicGains,
-    FilterState,
     ImuGains,
     QuatFilterState,
     basic_params,
@@ -62,7 +63,6 @@ from lieslam.observers import (
     imu_params,
     pack_state,
 )
-from lieslam.worldsim import MeasurementBundle
 
 SIZES = (3, 4, 32)
 RTOL = 1e-12
@@ -79,26 +79,28 @@ def _close(actual, expected):
 def _case(seed: int, n: int):
     """Random state, measurements, direction kernel and gains with n landmarks."""
     rng = np.random.default_rng(seed)
-    fs = FilterState(
-        pose=Pose(random_rotation(rng), rng.standard_normal(3) * 2.0),
-        landmarks=rng.standard_normal((n, 3)) * 5.0,
-        bias=Twist(rng.standard_normal(3) * 0.1, rng.standard_normal(3) * 0.1),
-    )
+    fs = random_filter_state(rng, n)
     refs = random_ref_triad(rng)
-    weights = rng.uniform(0.2, 2.0, 3)
-    weights *= 3.0 / weights.sum()
+    weights = random_weights(rng, 3)
     bodies = refs @ random_rotation(rng)
-    y = (fs.landmarks - fs.pose.position) @ fs.pose.rotation + rng.standard_normal((n, 3))
-    m = MeasurementBundle(
-        u_m=Twist(rng.standard_normal(3), rng.standard_normal(3)),
-        y=y, imu_ref=refs, imu_body=bodies, t=0.0,
-    )
+    y = consistent_y(fs) + rng.standard_normal((n, 3))
+    m = bundle(y, refs, bodies, u=Twist(rng.standard_normal(3), rng.standard_normal(3)))
     basic = BasicGains(k_w=rng.uniform(1, 5), k_1=rng.uniform(1, 5),
                        gamma=rng.uniform(1, 100, 6), alpha=rng.uniform(0.1, 1, n))
     imu = ImuGains(k_w=rng.uniform(1, 5), k_1=rng.uniform(1, 5), k_2=rng.uniform(1, 20),
                    gamma_1=rng.uniform(1, 10, 3), gamma_2=rng.uniform(1, 100, 3),
                    alpha=rng.uniform(0.1, 1, n))
     return fs, m, build_kernel(refs, weights), basic, imu
+
+
+def _flat(fs) -> list:
+    return pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
+
+
+def _imu_call(n: int) -> tuple:
+    """Flat state and IMU-aided parameters of a kernel call, n landmarks."""
+    fs, m, kernel, _, gains = _case(600, n)
+    return _flat(fs), imu_params(m, kernel, gains, 4.0)
 
 
 def _rates(rates, x, params) -> np.ndarray:
@@ -108,26 +110,9 @@ def _rates(rates, x, params) -> np.ndarray:
 @pytest.mark.parametrize("n", SIZES)
 def test_basic_rates_match_numpy_laws(n):
     fs, m, _, gains, _ = _case(100 + n, n)
-    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
-    out = _rates(_kernels._basic_rates, x, basic_params(m, gains))
-
-    r = fs.pose.rotation
-    e = innovation_errors(fs, m.y)
-    w = basic_correction(fs, e, gains)
-    u = m.u_m.vector() - fs.bias.vector() - w.vector()
-    zw = innovation_wrench(fs, e, 1.0 / gains.alpha)
-    _close(out[:9], (r @ skew(u[:3])).ravel())
-    _close(out[9:12], r @ u[3:])
-    _close(out[12:18], -gains.gamma * (adjoint_aug(fs.pose).T @ zw))
-    _close(out[18:], (-gains.k_1 * e).ravel())
-
-
-def _imu_bias_rates(gains, scale, half, e_body, y):
-    inv_a = (1.0 / gains.alpha)[:, None]
-    return np.concatenate([
-        gains.gamma_1 * (scale * 0.5 * half - (inv_a * np.cross(y, e_body)).sum(axis=0)),
-        -gains.gamma_2 * (inv_a * e_body).sum(axis=0),
-    ])
+    out = _rates(_kernels._basic_rates, _flat(fs), basic_params(m, gains))
+    for got, want in zip(np.split(out, [9, 12, 18]), basic_rates(fs, m, gains)):
+        _close(got, np.ravel(want))
 
 
 @pytest.mark.parametrize("simplified", (False, True))
@@ -135,18 +120,9 @@ def _imu_bias_rates(gains, scale, half, e_body, y):
 def test_imu_rates_match_numpy_laws(n, simplified):
     fs, m, kernel, _, gains = _case(200 + n, n)
     scale = 1.0 if simplified else float(n)
-    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
-    out = _rates(_kernels._imu_rates, x, imu_params(m, kernel, gains, scale))
-
-    r = fs.pose.rotation
-    e = innovation_errors(fs, m.y)
-    w = imu_correction(fs, m, e, kernel, gains, simplified_form=simplified)
-    half, _ = attitude_terms(r, m, kernel)
-    u = m.u_m.vector() - fs.bias.vector() - w.vector()
-    _close(out[:9], (r @ skew(u[:3])).ravel())
-    _close(out[9:12], r @ u[3:])
-    _close(out[12:18], _imu_bias_rates(gains, scale, half, e @ r, m.y))
-    _close(out[18:], (-gains.k_1 * e + np.cross(m.y, w.omega) @ r.T).ravel())
+    out = _rates(_kernels._imu_rates, _flat(fs), imu_params(m, kernel, gains, scale))
+    for got, want in zip(np.split(out, [9, 12, 18]), imu_rates(fs, m, kernel, gains, simplified)):
+        _close(got, np.ravel(want))
 
 
 @pytest.mark.parametrize("simplified", (False, True))
@@ -168,7 +144,7 @@ def test_quat_rates_match_numpy_laws(n, simplified):
     u = m.u_m.vector() - qs.bias.vector() - w.vector()
     _close(out[:4], 0.5 * (quat_omega(u[:3]) @ q))
     _close(out[4:7], rotate_by_quat(q, u[3:]))
-    _close(out[7:13], _imu_bias_rates(gains, scale, innov, rotate_by_quat(q_inv, e), m.y))
+    _close(out[7:13], imu_bias_rates(gains, scale, innov, rotate_by_quat(q_inv, e), m.y))
     _close(out[13:], (-gains.k_1 * e + rotate_by_quat(q, np.cross(m.y, w.omega))).ravel())
 
 
@@ -230,8 +206,7 @@ def test_compiled_kernels_match_python_floats(n, seed, simplified, nsub, size, a
     raise, see the *_float_exceptions_raise_divergence tests)."""
     fs, m, kernel, basic, gains = _case(seed, n)
     mag = 10.0 ** size
-    m = MeasurementBundle(u_m=Twist(m.u_m.omega, m.u_m.v * mag), y=m.y * mag,
-                          imu_ref=m.imu_ref, imu_body=m.imu_body, t=0.0)
+    m = bundle(m.y * mag, m.imu_ref, m.imu_body, u=Twist(m.u_m.omega, m.u_m.v * mag))
     position, landmarks = fs.pose.position * mag, fs.landmarks * mag
     q = QuatFilterState.from_rotation(fs.pose.rotation, position, landmarks, fs.bias).q
     x = pack_state(fs.pose.rotation * attitude, position, fs.bias, landmarks)
@@ -250,9 +225,7 @@ def test_compiled_kernels_match_python_floats(n, seed, simplified, nsub, size, a
 def test_compiled_kernel_called_while_converting_arguments():
     """A call made from an argument's __float__, in the middle of another
     call's conversion, keeps both calls' lists apart."""
-    fs, m, kernel, _, gains = _case(600, 4)
-    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
-    params = imu_params(m, kernel, gains, 4.0)
+    x, params = _imu_call(4)
     other = [2.0 * v for v in x]
     nested = []
 
@@ -285,9 +258,7 @@ MALFORMED_CALLS = {
 def test_malformed_kernel_call_raises_like_python_floats(case):
     """The bound kernel refuses a malformed call with the exception its
     Python-float original raises, and the next valid call is unchanged."""
-    fs, m, kernel, _, gains = _case(600, 4)
-    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
-    params = imu_params(m, kernel, gains, 4.0)
+    x, params = _imu_call(4)
     want = _kernels.imu_sample(x, params, 0.001, 1)
     error, malformed = MALFORMED_CALLS[case]
     for fn in (_kernels.imu_sample, _laws.imu_sample):
@@ -312,9 +283,7 @@ def test_compiled_calls_free_their_arena():
     if not hasattr(libc, "mallinfo2"):
         pytest.skip("needs glibc's mallinfo2")
     libc.mallinfo2.restype = _MallInfo2
-    fs, m, kernel, _, gains = _case(600, 32)
-    x = pack_state(fs.pose.rotation, fs.pose.position, fs.bias, fs.landmarks)
-    params = imu_params(m, kernel, gains, 4.0)
+    x, params = _imu_call(32)
     calls = [(x, params, 0.001, 2), *(malformed(x, params)
                                       for _, malformed in MALFORMED_CALLS.values())]
 

@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _support import innovation_errors, random_rotation
+from _support import UNIT_KERNEL, basic_gains, imu_gains, innovation_errors, random_rotation
 from lieslam.liegroup import Pose, Twist, so3_exp
 from lieslam.harness import FilterRunResult, report_csv_text
 from lieslam.metrics import ErrorReport, error_state, evaluate, lyapunov, report_header
-from lieslam.observers import BasicGains, FilterState, ImuGains, build_kernel, quat_to_rot
+from lieslam.observers import BasicGains, FilterState, ImuGains, quat_to_rot
 from lieslam.worldsim import TrueState
 
 
@@ -24,22 +24,12 @@ def _truth(rng, n=4) -> TrueState:
     )
 
 
-def _basic_gains(n=4) -> BasicGains:
-    return BasicGains(k_w=5.0, k_1=5.0, gamma=np.array([3.0, 3, 3, 100, 100, 100]),
-                      alpha=np.full(n, 0.1))
-
-
-def _imu_gains(n=4) -> ImuGains:
-    return ImuGains(k_w=5.0, k_1=5.0, k_2=20.0, gamma_1=np.full(3, 3.0),
-                    gamma_2=np.full(3, 100.0), alpha=np.full(n, 0.1))
-
-
 def test_evaluate_exact_state_reports_zero():
     rng = np.random.default_rng(80)
     truth = _truth(rng)
     bias = Twist(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.1, 0.0]))
     fs = FilterState(pose=truth.pose, landmarks=truth.landmarks.copy(), bias=bias)
-    rep = evaluate(truth, fs, bias, gains=_basic_gains())
+    rep = evaluate(truth, fs, bias, gains=basic_gains())
     assert rep.t == 1.5
     # attitude distance and innovations go through R R^T / frame round
     # trips, so they only vanish to machine precision
@@ -90,7 +80,7 @@ def test_evaluate_validation():
         evaluate(truth, fs, Twist.zero())
     fs = FilterState(Pose.identity(), np.zeros((4, 3)), Twist.zero())
     with pytest.raises(ValueError, match="kernel"):
-        evaluate(truth, fs, Twist.zero(), gains=_imu_gains())
+        evaluate(truth, fs, Twist.zero(), gains=imu_gains())
 
 
 def test_lyapunov_basic_hand_value():
@@ -103,16 +93,15 @@ def test_lyapunov_basic_hand_value():
 
 
 def test_lyapunov_imu_hand_value():
-    kernel = build_kernel(np.eye(3), np.ones(3))
     e = np.array([[1.0, 0.0, 0.0]])
     gains = ImuGains(k_w=1.0, k_1=1.0, k_2=1.0, gamma_1=np.ones(3),
                      gamma_2=np.full(3, 100.0), alpha=np.array([0.1]))
     r_tilde = so3_exp(np.array([0.0, 0.0, np.pi]))  # trace -1, energy term 1
     bias_diff = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
-    got = lyapunov(e, r_tilde, bias_diff, gains, kernel)
+    got = lyapunov(e, r_tilde, bias_diff, gains, UNIT_KERNEL)
     assert np.isclose(got, 5.0 + 1.0 + 0.02, atol=1e-12)
     # the block-summed filter counts the attitude energy once per landmark
-    got4 = lyapunov(e, r_tilde, bias_diff, gains, kernel, att_multiplicity=4.0)
+    got4 = lyapunov(e, r_tilde, bias_diff, gains, UNIT_KERNEL, att_multiplicity=4.0)
     assert np.isclose(got4, 5.0 + 4.0 + 0.02, atol=1e-12)
 
 
@@ -144,7 +133,7 @@ def test_stacked_record_matches_rows(steps, n, kind, data):
     else:
         gains = ImuGains(1.0, 1.0, 1.0, data.draw(_floats(3, 0.01, 100.0)),
                          data.draw(_floats(3, 0.01, 100.0)), alpha)
-        args = (gains, build_kernel(np.eye(3), np.ones(3)), float(n))
+        args = (gains, UNIT_KERNEL, float(n))
     stacked = error_state(truth, est, bias_true, *args)
     for k in range(steps):
         row = error_state(
@@ -171,7 +160,7 @@ def test_report_row_round_trips_exactly():
             landmarks=rng.standard_normal((4, 3)),
             bias=Twist(rng.standard_normal(3), rng.standard_normal(3)),
         )
-        reps.append(evaluate(truth, fs, Twist.zero(), gains=_basic_gains()))
+        reps.append(evaluate(truth, fs, Twist.zero(), gains=basic_gains()))
     stacked = ErrorReport._make(map(np.array, zip(*reps)))
     result = FilterRunResult("basic", np.arange(2), None, None, None, None, stacked, 0.0)
     header, *rows = report_csv_text(result, 4).splitlines()
