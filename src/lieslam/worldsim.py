@@ -169,12 +169,16 @@ def augmented_refs(imu_refs: np.ndarray) -> np.ndarray:
     Raises
     ------
     ConfigError
-        If the first two directions are within 1e-3 rad of collinear.
+        If a direction is zero or too long to normalize, or the first two
+        are within 1e-3 rad of collinear.
     """
     refs = np.asarray(imu_refs, dtype=float)
-    norms = np.linalg.norm(refs, axis=1)
+    with np.errstate(over="ignore"):  # a norm past the float range fails below
+        norms = np.linalg.norm(refs, axis=1)
     if (norms == 0).any():
         raise ConfigError("imu_refs: zero vector is not a direction")
+    if not np.isfinite(norms).all():
+        raise ConfigError("imu_refs: a direction is too long to normalize")
     unit = refs / norms[:, None]
     cross = np.cross(unit[0], unit[1])
     sin_angle = np.linalg.norm(cross)

@@ -19,12 +19,16 @@ from lieslam.harness import FilterRunResult, RunConfig, _candidate
 from lieslam.metrics import error_state
 from lieslam.liegroup import Pose, Twist, adjoint_aug, se3_exp, skew, so3_exp
 from lieslam.observers import (
+    _OBSERVERS,
     AttitudeKernel,
     BasicGains,
     FilterState,
     ImuGains,
     QuatFilterState,
+    basic_step,
     build_kernel,
+    imu_step,
+    quat_imu_step,
     quat_normalize,
 )
 from lieslam.worldsim import (
@@ -116,6 +120,7 @@ def small_run_dict(**overrides) -> dict:
 BENCH_REFS = augmented_refs(np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]]))
 BENCH_KERNEL = build_kernel(BENCH_REFS, np.ones(3))
 UNIT_KERNEL = build_kernel(np.eye(3), np.ones(3))
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # about z
 
 
 def basic_gains(n: int = 4, **overrides) -> BasicGains:
@@ -161,6 +166,41 @@ def bundle(y, refs=np.eye(3), bodies=np.eye(3), u: Twist | None = None) -> Measu
         imu_body=np.array(bodies, dtype=float),
         t=0.0,
     )
+
+
+# observer -> its step, called as (state, m, kernel, gains, dt), and the
+# builder of its gains
+_STEPS = {
+    "basic": (lambda fs, m, kernel, gains, dt: basic_step(fs, m, gains, dt), basic_gains),
+    "imu": (imu_step, imu_gains),
+    "imu_quat": (quat_imu_step, imu_gains),
+}
+
+
+def start_state(name: str, fs: FilterState):
+    """The observer's own state form of a matrix-form state."""
+    if _OBSERVERS[name][1] == 4:
+        return QuatFilterState.from_rotation(fs.pose.rotation, fs.pose.position, fs.landmarks,
+                                             fs.bias)
+    return fs
+
+
+def advance(name: str, state, m, dt: float, steps: int = 1, kernel=BENCH_KERNEL, gains=None):
+    """``steps`` intervals of an observer on held measurements, with the
+    bundled gains unless others are given."""
+    step, default_gains = _STEPS[name]
+    gains = default_gains(state.landmarks.shape[0]) if gains is None else gains
+    for _ in range(steps):
+        state = step(state, m, kernel, gains, dt)
+    return state
+
+
+def assert_rates(fs: FilterState, out: FilterState, dt: float, rates: tuple) -> None:
+    """One step of dt from fs to out recovers the continuous rates."""
+    steps = (out.pose.rotation - fs.pose.rotation, out.pose.position - fs.pose.position,
+             out.bias.vector() - fs.bias.vector(), out.landmarks - fs.landmarks)
+    for step, rate in zip(steps, rates):
+        np.testing.assert_allclose(step / dt, rate, rtol=1e-4, atol=1e-4)
 
 
 # ------------------------------------------------- feature-only observer

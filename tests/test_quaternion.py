@@ -3,37 +3,31 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from _support import (
+    QUARTER_TURN,
+    advance,
+    bundle,
+    consistent_y,
     imu_correction,
+    imu_gains,
     innovation_errors,
     quat_conjugate,
     quat_correction,
     quat_kinematics_step,
     quat_omega,
     quat_product,
+    random_filter_state,
     random_ref_triad,
     random_rotation,
     rotate_by_quat,
+    start_state,
 )
-from lieslam import _kernels
-from lieslam.liegroup import Pose, Twist, skew, so3_exp
-from lieslam.observers import (
-    FilterDivergence,
-    FilterState,
-    ImuGains,
-    QuatFilterState,
-    build_kernel,
-    imu_params,
-    imu_step,
-    pack_state,
-    quat_imu_step,
-    quat_normalize,
-    quat_to_rot,
-    rot_to_quat,
-)
-from lieslam.worldsim import MeasurementBundle
+from lieslam.liegroup import Twist, skew, so3_exp
+from lieslam.observers import build_kernel, quat_normalize, quat_to_rot, rot_to_quat
+
+
+# --------------------------------------------------------- quaternion algebra
 
 
 def _random_quat(rng):
@@ -71,8 +65,7 @@ def test_quat_to_rot_reference_values():
     assert np.allclose(quat_to_rot(np.array([1.0, 0, 0, 0])), np.eye(3), atol=1e-15)
     half = np.pi / 4
     q = np.array([np.cos(half), 0.0, 0.0, np.sin(half)])
-    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.allclose(quat_to_rot(q), quarter, atol=1e-12)
+    assert np.allclose(quat_to_rot(q), QUARTER_TURN, atol=1e-12)
 
 
 def test_quat_to_rot_is_orthonormal():
@@ -174,55 +167,35 @@ def test_kinematics_preserves_norm_over_long_runs():
     assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
 
-# ----------------------------------------------- quaternion-attitude observer
-
-
-def _imu_gains(n: int) -> ImuGains:
-    return ImuGains(
-        k_w=5.0, k_1=5.0, k_2=20.0,
-        gamma_1=np.full(3, 3.0), gamma_2=np.full(3, 100.0), alpha=np.full(n, 0.1),
-    )
+# ----------------------------------------- quaternion against matrix filter
 
 
 def _quat_setup(rng, n=4):
-    pose = Pose(random_rotation(rng), rng.standard_normal(3) * 2.0)
-    fs = FilterState(
-        pose=pose,
-        landmarks=rng.standard_normal((n, 3)) * 5.0,
-        bias=Twist(rng.standard_normal(3) * 0.1, rng.standard_normal(3) * 0.1),
-    )
+    """A random state, a random triad kernel and noisy measurements."""
+    fs = random_filter_state(rng, n)
     refs = random_ref_triad(rng)
-    w = np.ones(3)
-    kernel = build_kernel(refs, w)
+    kernel = build_kernel(refs, np.ones(3))
     bodies = refs @ random_rotation(rng, max_angle=np.pi / 2)
-    y = (fs.landmarks - pose.position) @ pose.rotation + rng.standard_normal((n, 3)) * 0.2
-    m = MeasurementBundle(
-        u_m=Twist(rng.standard_normal(3), rng.standard_normal(3)),
-        y=y, imu_ref=refs, imu_body=bodies, t=0.0,
-    )
+    y = consistent_y(fs) + rng.standard_normal((n, 3)) * 0.2
+    m = bundle(y, refs, bodies, u=Twist(rng.standard_normal(3), rng.standard_normal(3)))
     return fs, kernel, m
 
 
 def test_filter_state_round_trip():
     rng = np.random.default_rng(43)
     fs, _, _ = _quat_setup(rng)
-    qs = QuatFilterState.from_rotation(
-        fs.pose.rotation, fs.pose.position, fs.landmarks, fs.bias
-    )
+    qs = start_state("imu_quat", fs)
     assert np.abs(quat_to_rot(qs.q) - fs.pose.rotation).max() < 1e-12
     assert np.array_equal(qs.position, fs.pose.position)
 
 
 def test_correction_matches_matrix_filter():
     rng = np.random.default_rng(44)
-    gains = _imu_gains(4)
+    gains = imu_gains(4)
     for _ in range(25):
         fs, kernel, m = _quat_setup(rng)
-        qs = QuatFilterState.from_rotation(
-            fs.pose.rotation, fs.pose.position, fs.landmarks, fs.bias
-        )
         ref = imu_correction(fs, m, innovation_errors(fs, m.y), kernel, gains)
-        got = quat_correction(qs, m, kernel, gains)
+        got = quat_correction(start_state("imu_quat", fs), m, kernel, gains)
         # corrections on far-off random states reach ~1e3, so scale the bound
         scale = max(1.0, np.abs(ref.vector()).max())
         assert np.abs(got.vector() - ref.vector()).max() < 1e-10 * scale
@@ -232,14 +205,9 @@ def test_step_matches_matrix_filter_over_many_intervals():
     """500 intervals on a held measurement: the two attitude charts stay
     within integrator precision of each other."""
     rng = np.random.default_rng(45)
-    gains = _imu_gains(4)
     fs, kernel, m = _quat_setup(rng)
-    qs = QuatFilterState.from_rotation(
-        fs.pose.rotation, fs.pose.position, fs.landmarks, fs.bias
-    )
-    for _ in range(500):
-        fs = imu_step(fs, m, kernel, gains, 0.001)
-        qs = quat_imu_step(qs, m, kernel, gains, 0.001)
+    qs = advance("imu_quat", start_state("imu_quat", fs), m, 0.001, steps=500, kernel=kernel)
+    fs = advance("imu", fs, m, 0.001, steps=500, kernel=kernel)
     # the transient from a random far-off state is violent, so the two
     # charts accumulate a few 1e-7 of representational difference
     assert np.abs(quat_to_rot(qs.q) - fs.pose.rotation).max() < 1e-6
@@ -247,38 +215,3 @@ def test_step_matches_matrix_filter_over_many_intervals():
     assert np.abs(qs.landmarks - fs.landmarks).max() < 1e-6
     assert np.abs(qs.bias.vector() - fs.bias.vector()).max() < 1e-6
     assert abs(np.linalg.norm(qs.q) - 1.0) < 1e-12
-
-
-def test_quat_step_divergence_raises():
-    rng = np.random.default_rng(46)
-    fs, kernel, m = _quat_setup(rng)
-    qs = QuatFilterState.from_rotation(
-        fs.pose.rotation, fs.pose.position, fs.landmarks, fs.bias
-    )
-    bad = MeasurementBundle(
-        u_m=Twist.zero(), y=np.full((4, 3), np.nan),
-        imu_ref=m.imu_ref, imu_body=m.imu_body, t=0.0,
-    )
-    with pytest.raises(FilterDivergence):
-        quat_imu_step(qs, bad, kernel, _imu_gains(4), 0.001)
-
-
-@pytest.mark.parametrize("scale,error", ((1e160, OverflowError), (0.0, ZeroDivisionError)))
-def test_quat_step_float_exceptions_raise_divergence(scale, error):
-    """A 1e160 quaternion with zero vector part and zero angular rate
-    stays put and keeps every product finite, but its squared norm
-    overflows in the renormalization; a zero quaternion divides by a zero norm there.
-    The kernel raises, the step reports divergence."""
-    rng = np.random.default_rng(47)
-    fs, kernel, m = _quat_setup(rng)
-    qs = QuatFilterState(np.array([scale, 0.0, 0.0, 0.0]), np.zeros(3),
-                         np.zeros((4, 3)), Twist.zero())
-    bad = MeasurementBundle(
-        u_m=Twist.zero(), y=np.zeros((4, 3)),
-        imu_ref=m.imu_ref, imu_body=m.imu_ref, t=0.0,
-    )
-    x = pack_state(qs.q, qs.position, qs.bias, qs.landmarks)
-    with pytest.raises(error):
-        _kernels.quat_sample(x, imu_params(bad, kernel, _imu_gains(4), 4.0), 0.001, 1)
-    with pytest.raises(FilterDivergence, match="non-finite"):
-        quat_imu_step(qs, bad, kernel, _imu_gains(4), 0.001)

@@ -244,6 +244,9 @@ def test_augmented_refs_unitizes_and_appends_cross():
 def test_augmented_refs_rejects_degenerate_input():
     with pytest.raises(ConfigError, match="zero vector"):
         augmented_refs(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    # finite, but its squared norm overflows
+    with pytest.raises(ConfigError, match="too long to normalize"):
+        augmented_refs(np.array([[1.35e154, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(ConfigError, match="collinear"):
         augmented_refs(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]]))
 
