@@ -22,6 +22,7 @@ is the one the Python kernel raises.  The fixed helpers live in
 from __future__ import annotations
 
 import ast
+import contextlib
 import os
 import re
 import shlex
@@ -34,6 +35,7 @@ from pathlib import Path
 # operation is the one CPython performs.  Part of the cache key.
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 PRELUDE = Path(__file__).with_name("_cprelude.h")
+KEEP = 8  # builds left in the cache directory after a compile, the newest by mtime
 
 # entry points and their argument types: S the flat state, F dt, I nsub,
 # a parenthesized group the parameter tuple built by ``basic_params``
@@ -149,12 +151,9 @@ class _Func:
             var = self.bind(s.target.id, "I")
             self.emit(f"for ({var} = 0; {var} < {stop}; {var}++) {{")
             self.nested(s.body)
-        elif isinstance(s, ast.If):
+        elif isinstance(s, ast.If) and not s.orelse:
             self.emit(f"if ({self.expr(s.test)[0]}) {{")
             self.nested(s.body)
-            if s.orelse:
-                self.lines[-1] += " else {"
-                self.nested(s.orelse)
         elif isinstance(s, ast.Return) and s.value is not None:
             code, t = self.expr(s.value)
             if self.ret not in (None, t):
@@ -410,14 +409,13 @@ def translate(source: str, module: str) -> str:
                       f"    return PyModule_Create(&def);\n}}\n"])
 
 
-def build(laws: str, target: str, module: str, cc: str, replaces: str) -> None:
+def build(laws: str, target: str, module: str, cc: str) -> None:
     """Translate the ``laws`` source file (``_laws.py``) and compile it
     with the compiler command ``cc`` into ``target``; the file appears
-    whole or not at all (built beside it, then renamed).  Then the other
-    files beside it whose names start with ``replaces`` are deleted, and
-    so are the builds named by a source key alone
-    (``lieslam_kernels_<16 hex><suffix>``), the form before the
-    environment key."""
+    whole or not at all (built beside it, then renamed).  Then it and the
+    newest other ``lieslam_kernels_*`` entries beside it by mtime, whichever
+    tree, compiler or Python made them, are kept, :data:`KEEP` in all.  The
+    rest are deleted best-effort: an entry that cannot be removed stays."""
     include = sysconfig.get_paths()["include"]
     if not os.path.isfile(os.path.join(include, "Python.h")):
         raise BuildError(f"no Python.h in {include}")
@@ -440,7 +438,11 @@ def build(laws: str, target: str, module: str, cc: str, replaces: str) -> None:
             raise BuildError(f"{cc} exited with status {done.returncode}: "
                              f"{done.stderr.strip()[-500:]}")
         os.replace(out, target)
-    one_key = "lieslam_kernels_" + "[0-9a-f]" * 16 + target.name[len(module):]
-    for old in (*target.parent.glob(replaces + "*"), *target.parent.glob(one_key)):
-        if old != target:
-            old.unlink(missing_ok=True)
+    try:
+        builds = sorted(target.parent.glob("lieslam_kernels_*"),
+                        key=lambda p: (p != target, -p.stat().st_mtime))
+    except OSError:  # an entry went meanwhile; the next build sweeps instead
+        builds = []
+    for old in builds[KEEP:]:
+        with contextlib.suppress(OSError):
+            old.unlink()

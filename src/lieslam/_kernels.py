@@ -13,8 +13,8 @@ which:
   ``_laws.py``, the translator, the prelude, ``$CC`` and the Python ABI.
   On a cache hit the key is read from those files and the extension is
   loaded; neither ``_laws`` nor ``_ctranslate`` is imported.  On a miss
-  ``_ctranslate`` builds it first and deletes the older builds for the
-  same ``$CC`` and Python;
+  ``_ctranslate`` builds it first and keeps the newest few builds of the
+  cache, whatever tree or environment made them;
 - interpreted: when that build fails (no compiler, no ``Python.h``, no
   writable cache; ``BUILD_ERROR`` says which), the functions of
   ``_laws`` themselves, imported only then.
@@ -147,10 +147,9 @@ _COMPILED = ("_basic_rates", "basic_sample", "_imu_rates", "imu_sample",
 def _compiled():
     """(extension module, None), built on a cache miss, or (None, why not).
 
-    A build is named ``lieslam_kernels_<environment key>_<source key>``.
-    The hit path reads the three source files and loads the extension;
-    only a miss imports the translator and runs the compiler, which then
-    deletes the older builds of the same environment.
+    A build is named ``lieslam_kernels_<32 hex>``, the environment key and
+    the source key written together.  A hit reads the three source files
+    and loads the extension; only a miss imports the translator.
     """
     here = os.path.dirname(os.path.abspath(__file__))
     cc = os.environ.get("CC") or "cc"
@@ -160,8 +159,7 @@ def _compiled():
         with open(os.path.join(here, name), "rb") as f:
             data = f.read()
         crc, adler = zlib.crc32(data, crc), zlib.adler32(data, adler)
-    prefix = f"lieslam_kernels_{zlib.crc32(env):08x}{zlib.adler32(env):08x}_"
-    module = f"{prefix}{crc:08x}{adler:08x}"
+    module = f"lieslam_kernels_{zlib.crc32(env):08x}{zlib.adler32(env):08x}{crc:08x}{adler:08x}"
     cache = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(cache):  # XDG: a relative path is to be ignored
         cache = os.path.join(os.path.expanduser("~"), ".cache")
@@ -169,7 +167,7 @@ def _compiled():
     try:
         if not os.path.exists(path):
             from . import _ctranslate
-            _ctranslate.build(os.path.join(here, "_laws.py"), path, module, cc, prefix)
+            _ctranslate.build(os.path.join(here, "_laws.py"), path, module, cc)
         loader = ExtensionFileLoader(module, path)
         ext = module_from_spec(spec_from_loader(module, loader))
         loader.exec_module(ext)

@@ -95,21 +95,27 @@ def integer(raw, key: str, minimum: int) -> int:
     return raw
 
 
-def rotation(raw, key: str) -> np.ndarray:
-    """A row-major 3x3 rotation within _INIT_ROTATION_SLACK of
-    orthonormal, repaired by :func:`orthonormalize`; a reflection
-    (determinant -1) is orthonormal but no rotation.
+def check_rotation(rot: np.ndarray, key: str) -> None:
+    """Raise ConfigError unless the 3x3 ``rot`` is within
+    _INIT_ROTATION_SLACK of orthonormal with determinant +1; a
+    reflection is orthonormal but no rotation, and a NaN fails.
 
     An entry beyond 2 in magnitude already puts R^T R off the identity
     by more than 3, so it is rejected before the product can overflow.
     """
+    # the determinant as a triple product: np.linalg.det would page in
+    # LAPACK code that no run otherwise uses (0.1 MB of peak memory)
+    if not (np.abs(rot).max() <= 2.0 and rotation_defect(rot) <= _INIT_ROTATION_SLACK
+            and np.cross(rot[0], rot[1]) @ rot[2] >= 0):
+        raise ConfigError(f"{key}: not close to a rotation matrix")
+
+
+def rotation(raw, key: str) -> np.ndarray:
+    """A row-major 3x3 rotation that passes :func:`check_rotation`,
+    repaired by :func:`orthonormalize`."""
     rot = floats(raw, key)
     if rot.size != 9:
         raise ConfigError(f"{key}: expected 9 scalars (row-major)")
     rot = rot.reshape(3, 3)
-    # the determinant as a triple product: np.linalg.det would page in
-    # LAPACK code that no run otherwise uses (0.1 MB of peak memory)
-    if (np.abs(rot).max() > 2.0 or rotation_defect(rot) > _INIT_ROTATION_SLACK
-            or np.cross(rot[0], rot[1]) @ rot[2] < 0):
-        raise ConfigError(f"{key}: not close to a rotation matrix")
+    check_rotation(rot, key)
     return orthonormalize(rot)

@@ -20,6 +20,7 @@ import numpy as np
 from .config import (
     FILTER_CHOICES,
     ConfigError,
+    check_rotation,
     fields,
     floats,
     integer,
@@ -60,15 +61,20 @@ class RunConfig:
             block = "basic" if name == "basic" else "imu"
             if getattr(self, f"gains_{block}") is None:
                 raise ConfigError(f"gains.{block}: required for the selected filter")
-        # one alpha and one initial estimate per landmark of the world, in
-        # the parser's words
+        # one alpha and one initial estimate per landmark of the world, and
+        # an initial pose and bias of the parser's sizes, in its words
         n = self.world.n_landmarks
         sizes = [(f"gains.{block}.alpha", gains.alpha.shape, (n,), f"{n} numbers")
                  for block in _GAINS if (gains := getattr(self, f"gains_{block}")) is not None]
-        sizes.append(("init.landmarks", self.init_landmarks.shape, (n, 3), f"{n} 3-vectors"))
+        sizes += [("init.landmarks", self.init_landmarks.shape, (n, 3), f"{n} 3-vectors"),
+                  ("init.rotation", self.init_rotation.shape, (3, 3), "9 scalars (row-major)"),
+                  ("init.position", self.init_position.shape, (3,), "3 numbers"),
+                  ("init.bias", self.init_bias.shape, (6,), "6 numbers (angular then linear)")]
         for key, got, want, expected in sizes:
             if got != want:
                 raise ConfigError(f"{key}: expected {expected}, got shape {got}")
+        # checked, not repaired: a valid rotation keeps its bits
+        check_rotation(self.init_rotation, "init.rotation")
         if self.filters() != ["basic"]:
             try:
                 build_kernel(augmented_refs(self.world.imu_refs), self.world.sensor_weights)

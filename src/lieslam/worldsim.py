@@ -9,6 +9,7 @@ augmented to a full triad by cross products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from math import sqrt
 from typing import NamedTuple
 
@@ -44,13 +45,6 @@ class LinearProfile(NamedTuple):
         return cls(floats(raw, key, (3,)), np.zeros(3))
 
 
-_WORLD_KEYS = (
-    "landmarks", "imu_refs", "sensor_weights", "omega_true", "v_true", "bias_omega", "bias_v",
-    "noise_std_omega", "noise_std_v", "feature_noise_std", "dt", "duration", "rng_seed",
-    "init_rotation", "init_position",
-)
-
-
 @dataclass(frozen=True)
 class WorldConfig:
     """Scenario description: environment, true motion, sensor models."""
@@ -81,7 +75,8 @@ class WorldConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WorldConfig":
-        fields(raw, "world", _WORLD_KEYS, ("landmarks", "imu_refs", "dt", "duration"))
+        fields(raw, "world", [f.name for f in dataclass_fields(cls)],
+               ("landmarks", "imu_refs", "dt", "duration"))
         landmarks = floats(raw["landmarks"], "world.landmarks", (None, 3))
         if landmarks.shape[0] < 3:
             raise ConfigError(f"world.landmarks: need at least 3, got {landmarks.shape[0]}")

@@ -195,6 +195,33 @@ def test_replace_checks_sizes_against_the_world(level_rc, field, size):
         dataclasses.replace(level_rc, filter_kind="imu", **change)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("init_bias", np.zeros(5), "init.bias: expected 6 numbers (angular then linear), "
+                               "got shape (5,)"),
+    ("init_position", np.zeros(2), "init.position: expected 3 numbers, got shape (2,)"),
+    ("init_rotation", np.eye(2), "init.rotation: expected 9 scalars (row-major), "
+                                 "got shape (2, 2)"),
+    ("init_rotation", np.diag([1.0, 1.0, -1.0]), "init.rotation: not close to a rotation"),
+    ("init_rotation", 1.1 * np.eye(3), "init.rotation: not close to a rotation"),
+    ("init_rotation", np.full((3, 3), np.nan), "init.rotation: not close to a rotation"),
+], ids=["init_bias-5", "init_position-2", "init_rotation-2x2", "init_rotation-reflection",
+        "init_rotation-scaled", "init_rotation-nan"])
+def test_replace_checks_the_initial_estimate(level_rc, field, value, message):
+    """dataclasses.replace checks the fixed-size initial pose and bias too,
+    with the parser's sizes and its rotation test, before a run writes
+    anything."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dataclasses.replace(level_rc, **{field: value})
+
+
+def test_replace_keeps_a_valid_initial_rotation(level_rc):
+    """A near rotation passed to dataclasses.replace is checked, not
+    repaired: the config holds the very array it was given."""
+    rot = np.eye(3)
+    rot[0, 1] = 1e-3
+    assert dataclasses.replace(level_rc, init_rotation=rot).init_rotation is rot
+
+
 def test_load_bundled_configs():
     for name in ("square_climb.json", "square_level"):
         rc = load_run_config(name)

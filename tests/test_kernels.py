@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -324,6 +325,7 @@ def test_generated_c_compiles_without_warnings(tmp_path):
     "x = [x, x][0:1:1]",            # a stepped slice
     "x.append(x)",                  # append to a float
     "x = [a for a in [x, x]][0]",   # a comprehension not over a zip
+    pytest.param("if x > 0.0:\n        x = 1.0\n    else:\n        x = 2.0", id="if-else"),
 ))
 def test_translator_rejects_code_outside_its_subset(line):
     source = f"def f(x):\n    {line}\n    return x\n"
@@ -331,12 +333,14 @@ def test_translator_rejects_code_outside_its_subset(line):
         _ctranslate._Translator(source).specialise("f", ("F",))
 
 
-def _import_kernels(env: dict, *checks: str) -> subprocess.CompletedProcess:
-    """Import lieslam.cli in a fresh interpreter with warnings as errors
-    and print the given expressions."""
+def _import_kernels(env: dict, *checks: str,
+                    src: Path | None = None) -> subprocess.CompletedProcess:
+    """Import lieslam.cli from ``src`` (this checkout's by default) in a
+    fresh interpreter with warnings as errors and print the given
+    expressions."""
     code = "import sys, types; import lieslam.cli; from lieslam import _kernels; " + \
         "; ".join(f"print({c})" for c in checks)
-    src = str(Path(_kernels.__file__).parent.parent)
+    src = str(src or Path(_kernels.__file__).parent.parent)
     return subprocess.run([sys.executable, "-W", "error", "-c", code],
                           env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
                           timeout=300)
@@ -390,25 +394,71 @@ def test_cached_build_loads_without_translator():
     assert out.stdout.splitlines() == ["compiled", "[]"]
 
 
+def _plant(cache: Path, names, mtime: float = 1e9) -> list[Path]:
+    """Empty files of the given names, a second apart in mtime from
+    ``mtime`` on, the last named the newest."""
+    cache.mkdir(parents=True, exist_ok=True)
+    paths = [cache / name for name in names]
+    for k, path in enumerate(paths):
+        path.write_bytes(b"")
+        os.utime(path, (mtime + k, mtime + k))
+    return paths
+
+
 @pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
-def test_build_removes_stale_builds_of_its_environment(tmp_path):
-    """A fresh build deletes the older builds for the same compiler and
-    Python and the builds named by a source key alone (the form before
-    the environment key), and keeps the builds of other environments."""
-    module = _kernels._ext.__name__       # lieslam_kernels_<environment>_<source>
-    env_key, source_key = module.split("_")[-2:]
-    suffix = EXTENSION_SUFFIXES[0]
+def test_build_keeps_the_newest_builds(tmp_path):
+    """A fresh build keeps the newest entries of the cache by mtime,
+    itself among them, and deletes the others, whatever their form: two
+    keys, one key (the older forms) or another Python's suffix.  A file
+    not named like a build is left alone."""
+    built = _kernels._ext.__name__ + EXTENSION_SUFFIXES[0]
     cache = tmp_path / "lieslam"
-    cache.mkdir()
-    stale = cache / f"lieslam_kernels_{env_key}_{'0' * 16}{suffix}"
-    one_key = cache / f"lieslam_kernels_0123456789abcdef{suffix}"
-    other_env = cache / f"lieslam_kernels_{'0' * 16}_{source_key}{suffix}"
-    for planted in (stale, one_key, other_env):
-        planted.write_bytes(b"")
+    names = [f"lieslam_kernels_{k:016x}_{'0' * 16}{EXTENSION_SUFFIXES[0]}" for k in range(4)]
+    names += [f"lieslam_kernels_{k:016x}{EXTENSION_SUFFIXES[0]}" for k in range(4)]
+    names += [f"lieslam_kernels_{k:032x}.cpython-399-x86_64-linux-gnu.so" for k in range(4)]
+    planted = _plant(cache, names)
+    (cache / "notes.txt").write_text("kept\n")
     out = _import_kernels(dict(os.environ, XDG_CACHE_HOME=str(tmp_path)), "_kernels.BACKEND")
-    assert out.returncode == 0 and out.stderr == ""
-    assert out.stdout == "compiled\n"
-    assert sorted(p.name for p in cache.iterdir()) == sorted([module + suffix, other_env.name])
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "compiled\n")
+    kept = [p.name for p in planted[len(planted) - _ctranslate.KEEP + 1:]]
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built, "notes.txt", *kept])
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+def test_build_survives_an_entry_it_cannot_delete(tmp_path):
+    """An old entry that cannot be removed, here a directory named like a
+    one-key build, stays in the cache, the older entries past it still go,
+    and the build just made stays bound."""
+    built = _kernels._ext.__name__ + EXTENSION_SUFFIXES[0]
+    cache = tmp_path / "lieslam"
+    stuck = cache / f"lieslam_kernels_0123456789abcdef{EXTENSION_SUFFIXES[0]}"
+    stuck.mkdir(parents=True)
+    os.utime(stuck, (1e9 + 0.5, 1e9 + 0.5))
+    planted = _plant(cache, [f"lieslam_kernels_{k:032x}.so" for k in range(_ctranslate.KEEP + 1)])
+    out = _import_kernels(dict(os.environ, XDG_CACHE_HOME=str(tmp_path)),
+                          "_kernels.BACKEND", "_kernels.BUILD_ERROR")
+    assert (out.returncode, out.stderr, out.stdout) == (0, "", "compiled\nNone\n")
+    kept = [p.name for p in planted[2:]]
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built, stuck.name, *kept])
+    assert stuck.is_dir()
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="the C build is not bound")
+def test_alternating_trees_compile_once_each(tmp_path):
+    """Two checkouts whose ``_laws.py`` differ by a comment line, imported
+    in turn with one cache, compile once each and leave both builds."""
+    package = Path(_kernels.__file__).parent
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        shutil.copytree(package, tree / "lieslam", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(trees[1] / "lieslam" / "_laws.py", "a") as f:
+        f.write("# the other checkout\n")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    runs = [_import_kernels(env, "_kernels.BACKEND", "'lieslam._ctranslate' in sys.modules",
+                            src=tree) for tree in trees * 2]
+    compiled = [(out.returncode, out.stderr, out.stdout) for out in runs]
+    assert compiled == [(0, "", "compiled\nTrue\n")] * 2 + [(0, "", "compiled\nFalse\n")] * 2
+    assert len(list((tmp_path / "cache" / "lieslam").iterdir())) == 2
 
 
 # sha256 of every CSV of two 0.3 s bundled runs, recorded on the
